@@ -23,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .errors import DegeneratePhaseError, SingularSMinusIError, TruncationError
+from .errors import DegeneratePhaseError, TruncationError
+from .grids import _raised_cosine, _trapezoid
 from .indices import signature
-from .symplectic import SymplecticMatrix, cayley, standard_j
+from .symplectic import SymplecticMatrix, _checked_det_s_minus_i, cayley, standard_j
 
 __all__ = [
     "QuadraticPhase",
@@ -92,15 +93,6 @@ def stationary_phase(phase: QuadraticPhase, amplitude, lam: float) -> complex:
     )
 
 
-def _cutoff(r: np.ndarray, roll_fraction: float) -> np.ndarray:
-    flat = 1.0 - roll_fraction
-    out = np.ones_like(r)
-    roll = (r > flat) & (r <= 1.0)
-    out[roll] = 0.5 * (1.0 + np.cos(math.pi * (r[roll] - flat) / roll_fraction))
-    out[r > 1.0] = 0.0
-    return out
-
-
 def oscillatory_quadrature(phase: QuadraticPhase, amplitude, lam: float,
                            radius: float, rel_tol: float = 1e-6,
                            cutoff_fraction: float = config.CUTOFF_FRACTION,
@@ -118,14 +110,11 @@ def oscillatory_quadrature(phase: QuadraticPhase, amplitude, lam: float,
     prev = None
     for _ in range(max_doublings):
         ax = np.linspace(-radius, radius, n0 + 1)
-        step = ax[1] - ax[0]
-        w = np.full(n0 + 1, step)
-        w[0] *= 0.5
-        w[-1] *= 0.5
+        w = _trapezoid(n0 + 1, ax[1] - ax[0])
         if k == 1:
             vals = (np.asarray(amplitude(ax[:, None]), dtype=complex).reshape(-1)
                     * np.exp(1j * lam * phase.value(ax[:, None]))
-                    * _cutoff(np.abs(ax) / radius, cutoff_fraction))
+                    * _raised_cosine(np.abs(ax) / radius, cutoff_fraction))
             total = complex(np.sum(vals * w))
         else:
             # split the quadratic phase into per-axis factors plus a rank-one
@@ -134,7 +123,7 @@ def oscillatory_quadrature(phase: QuadraticPhase, amplitude, lam: float,
             # rows are processed in chunks to bound memory at high resolution
             m11, m12, m22 = phase.m[0, 0], phase.m[0, 1], phase.m[1, 1]
             b1, b2 = phase.b
-            cut1 = _cutoff(np.abs(ax) / radius, cutoff_fraction)
+            cut1 = _raised_cosine(np.abs(ax) / radius, cutoff_fraction)
             e1 = w * cut1 * np.exp(1j * lam * (0.5 * m11 * ax * ax + b1 * ax
                                                + phase.c))
             e2 = w * cut1 * np.exp(1j * lam * (0.5 * m22 * ax * ax + b2 * ax))
@@ -202,9 +191,7 @@ def metaplectic_asymptotic(s: SymplecticMatrix, nu: int, F, z: np.ndarray,
     lemma having cancelled.
     """
     two_n = 2 * s.n
-    det_si = float(np.linalg.det(s.entries - np.eye(two_n)))
-    if abs(det_si) <= det_floor:
-        raise SingularSMinusIError(f"|det(S - I)| = {abs(det_si):.3e} <= {det_floor:g}")
+    det_si = _checked_det_s_minus_i(s, det_floor)
     if abs(np.linalg.det(s.entries + np.eye(two_n))) <= det_floor:
         raise DegeneratePhaseError("det(S + I) vanishes: M_S is degenerate")
     m_cay = cayley(s)

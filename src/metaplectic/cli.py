@@ -32,14 +32,14 @@ from .indices import conley_zehnder, inertia, maslov_branch, signature
 from .operators import (bochner_apply, heisenberg_weyl, MetaplecticWord,
                         qfio_apply)
 from .phase_space import compose_linear, cross_wigner, metaplectic_phase_apply, moyal_inner
-from .serialization import (generating_from_json, generating_to_json,
+from .serialization import (generating_from_json,
                             load_phase, load_sampled, matrix_from_json,
                             matrix_to_json, save_phase, save_sampled,
                             word_from_json)
 from .symplectic import (cayley, cayley_inverse, det_s_minus_i,
                          free_from_generating, rotation, rotation_generating,
                          SymplecticMatrix)
-from .verify import report_text, run_suite, SUITES
+from .verify import _bump, report_text, run_suite, SUITES
 
 __all__ = ["main", "build_parser"]
 
@@ -161,14 +161,10 @@ def cmd_asymptotic(args, cfg: RunConfig) -> int:
     if z.size != 2:
         raise NumericalDomainError(f"--z wants two comma-separated reals, got {args.z!r}")
 
-    def bump(zz):
-        zz = np.asarray(zz, dtype=float)
-        return np.exp(-np.sum(zz * zz, axis=-1))
-
     lines = ["hbar,abs_leading,abs_quadrature,relative_error"]
     for tok in args.hbar_list.split(","):
         hbar = float(tok)
-        res = metaplectic_asymptotic(s, nu, bump, z, hbar=hbar,
+        res = metaplectic_asymptotic(s, nu, _bump, z, hbar=hbar,
                                      support_radius=args.support_radius)
         lines.append(f"{hbar:.17g},{abs(res.leading):.17g},"
                      f"{abs(res.quadrature):.17g},{res.relative_error:.17g}")

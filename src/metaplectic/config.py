@@ -9,16 +9,16 @@ values, config-file values beat these defaults.  The config file is a flat
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 # Matrix-level tolerances.
 TOL_SYMP = 1e-10     # symplecticity / matrix identity residuals
 TOL_SING = 1e-12     # singularity gate for det(S - I), det(M - J/2)
 TOL_EIG = 1e-9       # eigenvalue cutoff when counting inertia
 
-# Grid-level tolerances.
+# Grid-level tolerances.  The ``verify`` certificates read FFT_TOL,
+# CROSS_TOL and BOCHNER_TOL directly, so no config file can loosen them.
 FFT_TOL = 1e-8       # unitarity of the hbar-scaled Fourier transform
-INTERP_TOL = 1e-6    # norm preservation through cubic interpolation
 CROSS_TOL = 1e-5     # factored vs. quadrature operator agreement
 BOCHNER_TOL = 1e-3   # phase-space (Bochner) quadrature agreement
 TAIL_TOL = 1e-12     # admissibility: relative tail size at the grid edge
@@ -39,19 +39,11 @@ ENV_CONFIG = "METAPLECTIC_CONFIG"
 class RunConfig:
     """Bundle of grid, tolerance, and truncation settings for one run."""
 
-    n: int = 1
     N: int = DEFAULT_N
     X: float = DEFAULT_X
     hbar: float = DEFAULT_HBAR
     seed: int = 0
-    tol_symp: float = TOL_SYMP
-    tol_sing: float = TOL_SING
     tol_eig: float = TOL_EIG
-    fft_tol: float = FFT_TOL
-    interp_tol: float = INTERP_TOL
-    cross_tol: float = CROSS_TOL
-    bochner_tol: float = BOCHNER_TOL
-    tail_tol: float = TAIL_TOL
     r_factor: float = R_FACTOR
     cutoff_fraction: float = CUTOFF_FRACTION
 
@@ -60,7 +52,7 @@ class RunConfig:
         return replace(self, **kwargs)
 
 
-_INT_KEYS = {"n", "N", "seed"}
+_INT_KEYS = {"N", "seed"}
 
 
 def parse_config_text(text: str) -> dict:

@@ -9,7 +9,6 @@ boundary-ring decay, never a boolean.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,14 +31,7 @@ class S0Report:
 def _l1_and_tail(F: PhaseFunction) -> tuple:
     """Trapezoid L1 norm plus a geometric tail estimate from the decay of
     the two outermost boundary rings."""
-    a = np.abs(F.values)
-    wx = np.full(F.grid.N, F.grid.dx)
-    wx[0] *= 0.5
-    wx[-1] *= 0.5
-    wp = np.full(F.grid.N_p, F.grid.dp)
-    wp[0] *= 0.5
-    wp[-1] *= 0.5
-    weighted = a * np.multiply.outer(wx, wp)
+    weighted = np.abs(F.values) * F.grid.trapezoid_weights()
     total = float(weighted.sum())
 
     def ring_mass(k: int) -> float:

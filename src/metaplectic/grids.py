@@ -15,7 +15,7 @@ from scipy.ndimage import map_coordinates
 from scipy.special import eval_hermite
 
 from . import config
-from .errors import GridMismatchError, OutOfDomainError
+from .errors import GridMismatchError
 
 __all__ = [
     "Grid",
@@ -83,6 +83,21 @@ class Grid:
         return f"Grid(n={self.n}, N={self.N}, X={self.X:g})"
 
 
+def _checked_values(grid, hbar: float, values) -> np.ndarray:
+    """``values`` as a complex array, after checking that hbar is positive
+    and that the samples are finite and shaped like ``grid``."""
+    if not hbar > 0:
+        raise GridMismatchError(f"hbar must be positive, got {hbar}")
+    values = np.asarray(values, dtype=complex)
+    if values.shape != grid.shape():
+        raise GridMismatchError(
+            f"values shape {values.shape} does not match grid shape {grid.shape()}"
+        )
+    if not np.all(np.isfinite(values)):
+        raise GridMismatchError("values must be finite")
+    return values
+
+
 class SampledFunction:
     """Complex samples of an L^2 function on a Grid, tagged with hbar.
 
@@ -93,38 +108,19 @@ class SampledFunction:
     __slots__ = ("grid", "hbar", "values")
 
     def __init__(self, grid: Grid, hbar: float, values: np.ndarray,
-                 tail_tol: float = config.TAIL_TOL, check_tails: bool = True):
-        if not hbar > 0:
-            raise GridMismatchError(f"hbar must be positive, got {hbar}")
-        values = np.asarray(values, dtype=complex)
-        if values.shape != grid.shape():
-            raise GridMismatchError(
-                f"values shape {values.shape} does not match grid shape {grid.shape()}"
-            )
+                 check_tails: bool = True):
+        values = _checked_values(grid, hbar, values)
         self.grid = grid
         self.hbar = float(hbar)
         self.values = values
         if check_tails:
-            peak = float(np.max(np.abs(values)))
-            if peak > 0.0:
-                edge = self._edge_max() / peak
-                if edge > tail_tol:
-                    warnings.warn(
-                        f"function reaches the grid edge: relative tail {edge:.2e} "
-                        f"> {tail_tol:g}; results may lose accuracy",
-                        stacklevel=2,
-                    )
-
-    def _edge_max(self) -> float:
-        a = np.abs(self.values)
-        worst = 0.0
-        for ax in range(self.grid.n):
-            sl_lo = [slice(None)] * self.grid.n
-            sl_hi = [slice(None)] * self.grid.n
-            sl_lo[ax] = slice(0, 2)
-            sl_hi[ax] = slice(-2, None)
-            worst = max(worst, float(np.max(a[tuple(sl_lo)])), float(np.max(a[tuple(sl_hi)])))
-        return worst
+            edge = _edge_ratio(values)
+            if edge > config.TAIL_TOL:
+                warnings.warn(
+                    f"function reaches the grid edge: relative tail {edge:.2e} "
+                    f"> {config.TAIL_TOL:g}; results may lose accuracy",
+                    stacklevel=2,
+                )
 
     def with_values(self, values: np.ndarray, check_tails: bool = False) -> "SampledFunction":
         return SampledFunction(self.grid, self.hbar, values, check_tails=check_tails)
@@ -184,24 +180,106 @@ def hermite_function(k: int, grid: Grid, hbar: float) -> SampledFunction:
     return SampledFunction(grid, hbar, vals.astype(complex))
 
 
-def interpolate_values(values: np.ndarray, grid: Grid, points: list[np.ndarray],
-                       require_inside: bool = False) -> np.ndarray:
+def interpolate_values(values: np.ndarray, grid: Grid,
+                       points: list[np.ndarray]) -> np.ndarray:
     """Cubic-spline interpolation of sampled values at arbitrary points.
 
     ``points`` is a list of n coordinate arrays (broadcast to a common
-    shape).  Points outside the grid evaluate to 0 (the tails), unless
-    ``require_inside`` asks for a hard error.
+    shape).  Points outside the grid evaluate to 0 (the tails).
     """
     shape = np.broadcast(*points).shape if len(points) > 1 else np.asarray(points[0]).shape
     coords = []
     for ax_pts in points:
         idx = np.broadcast_to(np.asarray(ax_pts, dtype=float), shape) / grid.dx + grid.N // 2
         coords.append(idx)
-    if require_inside:
-        for idx in coords:
-            if np.any(idx < 0.0) or np.any(idx > grid.N - 1):
-                raise OutOfDomainError("interpolation points leave the sampled domain")
-    coords = np.stack(coords)
+    return _cubic_at(values, np.stack(coords))
+
+
+# ----------------------------------------------------------------------
+# lattice primitives shared by the configuration-space and phase-space code
+
+def _cubic_at(values: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Complex cubic-spline values at fractional index coordinates
+    ``coords`` (one row per axis); points outside the array evaluate to 0."""
     re = map_coordinates(values.real, coords, order=3, mode="constant", cval=0.0)
     im = map_coordinates(values.imag, coords, order=3, mode="constant", cval=0.0)
     return re + 1j * im
+
+
+def _centered_fft(values: np.ndarray, axes=None, inverse: bool = False) -> np.ndarray:
+    """Unnormalized DFT over ``axes`` (all by default) with both index
+    origins at the center sample:
+    out_k = sum_j values_j exp(-+ 2 pi i (k - N/2)(j - N/2) / N)."""
+    shifted = np.fft.ifftshift(values, axes=axes)
+    if inverse:
+        spec = np.fft.ifftn(shifted, axes=axes, norm="forward")
+    else:
+        spec = np.fft.fftn(shifted, axes=axes)
+    return np.fft.fftshift(spec, axes=axes)
+
+
+def _integer_shift(values: np.ndarray, shifts: tuple[int, ...]) -> np.ndarray:
+    """Zero-filled shift: out[j] = values[j - shifts] where defined."""
+    out = np.zeros_like(values)
+    src = []
+    dst = []
+    for size, s in zip(values.shape, shifts):
+        lo, hi = max(0, s), min(size, size + s)
+        dst.append(slice(lo, hi))
+        src.append(slice(lo - s, hi - s))
+    out[tuple(dst)] = values[tuple(src)]
+    return out
+
+
+def _edge_ratio(values: np.ndarray) -> float:
+    """Largest |value| in the two outermost layers at either end of every
+    axis, relative to the largest |value| overall; 0 when all vanish."""
+    a = np.abs(values)
+    peak = float(np.max(a))
+    if peak == 0.0:
+        return 0.0
+    worst = 0.0
+    for ax in range(a.ndim):
+        layers = np.moveaxis(a, ax, 0)
+        worst = max(worst, float(np.max(layers[:2])), float(np.max(layers[-2:])))
+    return worst / peak
+
+
+def _trapezoid(n_points: int, step: float) -> np.ndarray:
+    """One-dimensional trapezoid weights: ``step``, halved at both ends."""
+    w = np.full(n_points, step)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
+def _raised_cosine(s: np.ndarray, roll_fraction: float) -> np.ndarray:
+    """Radial cutoff: 1 up to 1 - roll_fraction, cosine roll-off to 0 at 1."""
+    flat_end = 1.0 - roll_fraction
+    out = np.ones_like(s)
+    rolling = (s > flat_end) & (s <= 1.0)
+    out[rolling] = 0.5 * (1.0 + np.cos(math.pi * (s[rolling] - flat_end) / roll_fraction))
+    out[s > 1.0] = 0.0
+    return out
+
+
+def _support_box(values: np.ndarray, rel_tol: float = config.TAIL_TOL, pad: int = 0):
+    """Per-axis index ranges (lo, hi), hi exclusive, of the smallest box
+    holding every sample with |v| > rel_tol * max|v|, widened by ``pad``
+    and clipped to the array; None when all samples vanish."""
+    a = np.abs(values)
+    peak = float(a.max())
+    if peak == 0.0:
+        return None
+    keep = a > rel_tol * peak
+    box = []
+    for ax in range(a.ndim):
+        others = tuple(k for k in range(a.ndim) if k != ax)
+        hit = np.nonzero(keep.any(axis=others))[0]
+        box.append((max(0, hit[0] - pad), min(a.shape[ax], hit[-1] + 1 + pad)))
+    return box
+
+
+def _box_radius(box, axes) -> float:
+    """Largest |coordinate| at the ends of an index box, over all axes."""
+    return float(max(max(abs(ax[lo]), abs(ax[hi - 1])) for (lo, hi), ax in zip(box, axes)))

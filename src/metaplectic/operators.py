@@ -34,20 +34,21 @@ from .errors import (
     BandwidthExceededWarning,
     FactorizationFailedError,
     GridMismatchError,
-    SingularSMinusIError,
 )
-from .grids import Grid, SampledFunction, interpolate_values
+from .grids import (SampledFunction, _box_radius, _centered_fft, _edge_ratio,
+                    _integer_shift, _raised_cosine, _support_box, _trapezoid,
+                    interpolate_values)
 from .indices import maslov_branch
 from .symplectic import (
     GeneratingFunction,
     SymplecticMatrix,
+    _checked_det_s_minus_i,
     cayley,
     det_s_minus_i,
     free_from_generating,
     generating_from_free,
     rotation,
     rotation_generating,
-    standard_j,
 )
 
 __all__ = [
@@ -133,17 +134,6 @@ def scale_op(f: SampledFunction, l: np.ndarray, m: int) -> SampledFunction:
     return f.with_values(amp * vals)
 
 
-def _centered_fft(values: np.ndarray, inverse: bool) -> np.ndarray:
-    """DFT with both index origins at the center sample:
-    out_k = sum_j values_j exp(-+ 2 pi i (k - N/2)(j - N/2) / N)."""
-    shifted = np.fft.ifftshift(values)
-    if inverse:
-        spec = np.fft.ifftn(shifted) * values.size
-    else:
-        spec = np.fft.fftn(shifted)
-    return np.fft.fftshift(spec)
-
-
 def hbar_fourier(f: SampledFunction, inverse: bool = False,
                  warn_bandwidth: bool = True) -> SampledFunction:
     """Apply J = i^{-n/2} F_hbar; the result lives on the hbar-dual grid.
@@ -159,27 +149,12 @@ def hbar_fourier(f: SampledFunction, inverse: bool = False,
     phase = np.exp(-1j * math.pi * n / 4.0) if not inverse else np.exp(1j * math.pi * n / 4.0)
     vals = phase * scale * _centered_fft(f.values, inverse=inverse)
     out = SampledFunction(grid.dual(f.hbar), f.hbar, vals, check_tails=False)
-    if warn_bandwidth:
-        peak = float(np.max(np.abs(vals)))
-        if peak > 0.0 and out._edge_max() / peak > config.TAIL_TOL:
-            warnings.warn(
-                "spectral mass reaches the dual-grid edge; increase N or X",
-                BandwidthExceededWarning,
-                stacklevel=2,
-            )
-    return out
-
-
-def _integer_shift(values: np.ndarray, shifts: tuple[int, ...]) -> np.ndarray:
-    """Zero-filled shift: out[j] = values[j - shifts] where defined."""
-    out = np.zeros_like(values)
-    src = []
-    dst = []
-    for size, s in zip(values.shape, shifts):
-        lo, hi = max(0, s), min(size, size + s)
-        dst.append(slice(lo, hi))
-        src.append(slice(lo - s, hi - s))
-    out[tuple(dst)] = values[tuple(src)]
+    if warn_bandwidth and _edge_ratio(vals) > config.TAIL_TOL:
+        warnings.warn(
+            "spectral mass reaches the dual-grid edge; increase N or X",
+            BandwidthExceededWarning,
+            stacklevel=2,
+        )
     return out
 
 
@@ -242,16 +217,6 @@ def _qfio_factored(w: GeneratingFunction, m: int, f: SampledFunction) -> Sampled
     return chirp_multiply(out, w.P)
 
 
-def _trapezoid_weights(grid: Grid) -> np.ndarray:
-    wts = np.full(grid.N, grid.dx)
-    wts[0] *= 0.5
-    wts[-1] *= 0.5
-    full = wts
-    for _ in range(grid.n - 1):
-        full = np.multiply.outer(full, wts)
-    return full
-
-
 def _qfio_quadrature(w: GeneratingFunction, m: int, f: SampledFunction) -> SampledFunction:
     """Direct trapezoid summation of the kernel integral; O(total^2) cost,
     total point count capped at 4096."""
@@ -263,7 +228,10 @@ def _qfio_quadrature(w: GeneratingFunction, m: int, f: SampledFunction) -> Sampl
         )
     mesh = grid.meshgrid()
     pts = np.stack([ax.ravel() for ax in mesh], axis=-1)  # (total, n)
-    weights = _trapezoid_weights(grid).ravel()
+    weights = _trapezoid(grid.N, grid.dx)
+    if grid.n == 2:
+        weights = np.multiply.outer(weights, weights)
+    weights = weights.ravel()
     rhs = f.values.ravel() * weights
     pref = (
         (2.0 * math.pi * f.hbar) ** (-grid.n / 2.0)
@@ -401,26 +369,10 @@ def factor_pair(s: SymplecticMatrix, det_floor: float = 1e-6):
 
 def support_radius(f: SampledFunction, rel_tol: float = config.TAIL_TOL) -> float:
     """Half-width of the bounding box where |f| exceeds rel_tol * max|f|."""
-    a = np.abs(f.values)
-    peak = float(np.max(a))
-    if peak == 0.0:
+    box = _support_box(f.values, rel_tol)
+    if box is None:
         return 0.0
-    mask = a > rel_tol * peak
-    radius = 0.0
-    axes = f.grid.meshgrid()
-    for ax in axes:
-        radius = max(radius, float(np.max(np.abs(ax[mask]))))
-    return radius
-
-
-def _raised_cosine(s: np.ndarray, roll_fraction: float) -> np.ndarray:
-    """Radial cutoff: 1 up to 1 - roll_fraction, cosine roll-off to 0 at 1."""
-    flat_end = 1.0 - roll_fraction
-    out = np.ones_like(s)
-    rolling = (s > flat_end) & (s <= 1.0)
-    out[rolling] = 0.5 * (1.0 + np.cos(math.pi * (s[rolling] - flat_end) / roll_fraction))
-    out[s > 1.0] = 0.0
-    return out
+    return _box_radius(box, [f.grid.axis()] * f.grid.n)
 
 
 def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
@@ -451,9 +403,7 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
     if form not in ("s1", "s2", "s3"):
         raise ValueError(f"unknown form {form!r}")
     two_n = 2 * s.n
-    det_si = float(np.linalg.det(s.entries - np.eye(two_n)))
-    if abs(det_si) <= det_floor:
-        raise SingularSMinusIError(f"|det(S - I)| = {abs(det_si):.3e} <= {det_floor:g}")
+    det_si = _checked_det_s_minus_i(s, det_floor)
     m_cay = cayley(s)
     hbar = f.hbar
     grid = f.grid

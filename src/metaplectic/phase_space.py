@@ -24,20 +24,19 @@ import math
 import warnings
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from . import config
 from .errors import (
     BandwidthExceededWarning,
     GridMismatchError,
     OutOfDomainError,
-    SingularSMinusIError,
     TruncationError,
 )
-from .grids import Grid, SampledFunction, hermite_function, require_same_frame
+from .grids import (Grid, SampledFunction, _box_radius, _centered_fft, _checked_values,
+                    _cubic_at, _edge_ratio, _integer_shift, _raised_cosine,
+                    _support_box, _trapezoid, hermite_function, require_same_frame)
 from .nufft import nufft2d2
-from .operators import _integer_shift
-from .symplectic import SymplecticMatrix, cayley, standard_j
+from .symplectic import SymplecticMatrix, _checked_det_s_minus_i, cayley, standard_j
 
 __all__ = [
     "PhaseGrid",
@@ -107,6 +106,14 @@ class PhaseGrid:
     def cell_volume(self) -> float:
         return self.dx * self.dp
 
+    def trapezoid_weights(self) -> np.ndarray:
+        """Product trapezoid weights (boundary samples half-weighted)."""
+        return np.multiply.outer(_trapezoid(self.N, self.dx), _trapezoid(self.N_p, self.dp))
+
+    def index_coords(self, zx: np.ndarray, zp: np.ndarray) -> np.ndarray:
+        """Fractional lattice indices of the points (zx, zp), one row per axis."""
+        return np.stack([zx / self.dx + self.N // 2, zp / self.dp + self.N_p // 2])
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhaseGrid):
             return NotImplemented
@@ -119,16 +126,6 @@ class PhaseGrid:
                 f"N_p={self.N_p}, P_max={self.P_max})")
 
 
-def _trapezoid_2d(grid: PhaseGrid) -> np.ndarray:
-    wx = np.full(grid.N, grid.dx)
-    wx[0] *= 0.5
-    wx[-1] *= 0.5
-    wp = np.full(grid.N_p, grid.dp)
-    wp[0] *= 0.5
-    wp[-1] *= 0.5
-    return np.multiply.outer(wx, wp)
-
-
 class PhaseFunction:
     """Complex samples of F: phase space -> C, with hbar attached.
 
@@ -138,15 +135,7 @@ class PhaseFunction:
     __slots__ = ("grid", "hbar", "values")
 
     def __init__(self, grid: PhaseGrid, hbar: float, values: np.ndarray):
-        if hbar <= 0:
-            raise GridMismatchError("hbar must be positive")
-        values = np.asarray(values, dtype=complex)
-        if values.shape != grid.shape():
-            raise GridMismatchError(
-                f"values shape {values.shape} does not match grid {grid.shape()}"
-            )
-        if not np.all(np.isfinite(values.view(float))):
-            raise GridMismatchError("values must be finite")
+        values = _checked_values(grid, hbar, values)
         self.grid = grid
         self.hbar = float(hbar)
         self.values = values
@@ -161,18 +150,11 @@ class PhaseFunction:
     def inner(self, other: "PhaseFunction") -> complex:
         if self.grid != other.grid or abs(self.hbar - other.hbar) > 1e-15:
             raise GridMismatchError("phase functions live on different frames")
-        w = _trapezoid_2d(self.grid)
+        w = self.grid.trapezoid_weights()
         return complex(np.sum(self.values * np.conj(other.values) * w))
 
     def l1_norm(self) -> float:
-        return float(np.sum(np.abs(self.values) * _trapezoid_2d(self.grid)))
-
-
-def _centered_fft_axis(values: np.ndarray, axis: int) -> np.ndarray:
-    """out_k = sum_m values_m exp(-2 pi i (k - N/2)(m - N/2) / N) along axis."""
-    return np.fft.fftshift(
-        np.fft.fft(np.fft.ifftshift(values, axes=axis), axis=axis), axes=axis
-    )
+        return float(np.sum(np.abs(self.values) * self.grid.trapezoid_weights()))
 
 
 def cross_wigner(f: SampledFunction, g: SampledFunction) -> PhaseFunction:
@@ -196,18 +178,8 @@ def cross_wigner(f: SampledFunction, g: SampledFunction) -> PhaseFunction:
     fa = np.where(valid, f.values[np.clip(ia, 0, n_pts - 1)], 0.0)
     gb = np.where(valid, np.conj(g.values[np.clip(ib, 0, n_pts - 1)]), 0.0)
     corr = fa * gb
-    vals = (f.grid.dx / (math.pi * f.hbar)) * _centered_fft_axis(corr, axis=1)
+    vals = (f.grid.dx / (math.pi * f.hbar)) * _centered_fft(corr, axes=(1,))
     return PhaseFunction(PhaseGrid.compatible(f.grid, f.hbar), f.hbar, vals)
-
-
-def _interp_2d(values: np.ndarray, grid: PhaseGrid,
-               zx: np.ndarray, zp: np.ndarray) -> np.ndarray:
-    ix = zx / grid.dx + grid.N // 2
-    ip = zp / grid.dp + grid.N_p // 2
-    coords = np.stack([ix, ip])
-    re = map_coordinates(values.real, coords, order=3, mode="constant", cval=0.0)
-    im = map_coordinates(values.imag, coords, order=3, mode="constant", cval=0.0)
-    return re + 1j * im
 
 
 def phase_shift(F: PhaseFunction, z0: np.ndarray) -> PhaseFunction:
@@ -224,12 +196,11 @@ def phase_shift(F: PhaseFunction, z0: np.ndarray) -> PhaseFunction:
     grid = F.grid
     sx = 0.5 * x0 / grid.dx
     sp = 0.5 * p0 / grid.dp
+    xx, pp = grid.meshgrid()
     if abs(sx - round(sx)) < 1e-9 and abs(sp - round(sp)) < 1e-9:
         shifted = _integer_shift(F.values, (int(round(sx)), int(round(sp))))
     else:
-        xx, pp = grid.meshgrid()
-        shifted = _interp_2d(F.values, grid, xx - 0.5 * x0, pp - 0.5 * p0)
-    xx, pp = grid.meshgrid()
+        shifted = _cubic_at(F.values, grid.index_coords(xx - 0.5 * x0, pp - 0.5 * p0))
     mult = np.exp(-1j * (pp * x0 - xx * p0) / F.hbar)
     return F.with_values(mult * shifted)
 
@@ -240,10 +211,9 @@ def compose_linear(F: PhaseFunction, mat: np.ndarray) -> PhaseFunction:
     if mat.shape != (2, 2):
         raise GridMismatchError("mat must be 2x2")
     xx, pp = F.grid.meshgrid()
-    return F.with_values(_interp_2d(
-        F.values, F.grid, mat[0, 0] * xx + mat[0, 1] * pp,
-        mat[1, 0] * xx + mat[1, 1] * pp,
-    ))
+    return F.with_values(_cubic_at(F.values, F.grid.index_coords(
+        mat[0, 0] * xx + mat[0, 1] * pp, mat[1, 0] * xx + mat[1, 1] * pp,
+    )))
 
 
 def moyal_inner(F: PhaseFunction, G: PhaseFunction) -> complex:
@@ -268,21 +238,6 @@ def wigner_basis(j_max: int, k_max: int, hbar: float, grid: Grid) -> list:
 
 # ----------------------------------------------------------------------
 # extended metaplectic operators
-
-def _support_box(values: np.ndarray, pad: int = 2):
-    a = np.abs(values)
-    peak = float(a.max())
-    if peak == 0.0:
-        return None
-    keep = a > config.TAIL_TOL * peak
-    rows = np.nonzero(keep.any(axis=1))[0]
-    cols = np.nonzero(keep.any(axis=0))[0]
-    i0 = max(0, rows[0] - pad)
-    i1 = min(values.shape[0], rows[-1] + 1 + pad)
-    k0 = max(0, cols[0] - pad)
-    k1 = min(values.shape[1], cols[-1] + 1 + pad)
-    return i0, i1, k0, k1
-
 
 def _fft_upsample(vals: np.ndarray, u1: int, u2: int) -> np.ndarray:
     """Trigonometric upsampling by integer factors (zero-padded spectrum)."""
@@ -351,18 +306,16 @@ def metaplectic_phase_apply(s: SymplecticMatrix, nu: int, F: PhaseFunction,
         raise GridMismatchError("metaplectic_phase_apply supports n = 1 only")
     if s.n != 1:
         raise GridMismatchError("S must be 2x2 for one degree of freedom")
-    det_si = float(np.linalg.det(s.entries - np.eye(2)))
-    if abs(det_si) <= det_floor:
-        raise SingularSMinusIError(f"|det(S - I)| = {abs(det_si):.3e} <= {det_floor:g}")
+    det_si = _checked_det_s_minus_i(s, det_floor)
     hbar = F.hbar
     grid = F.grid
-    box = _support_box(F.values)
+    box = _support_box(F.values, pad=2)
     if box is None:
         return F.with_values(np.zeros_like(F.values))
-    i0, i1, k0, k1 = box
+    (i0, i1), (k0, k1) = box
+    r_supp = _box_radius(box, [grid.x_axis(), grid.p_axis()])
     xs = grid.x_axis()[i0:i1]
     ps = grid.p_axis()[k0:k1]
-    r_supp = max(abs(xs[0]), abs(xs[-1]), abs(ps[0]), abs(ps[-1]))
 
     r_bil, sigma_mat, a_mat, pref = _phase_form_parameters(s, nu, det_si, hbar, form)
     b_mat = np.linalg.inv(a_mat)
@@ -427,12 +380,7 @@ def metaplectic_phase_apply(s: SymplecticMatrix, nu: int, F: PhaseFunction,
 
     out = np.zeros(grid.shape(), dtype=complex)
     out[ox[0]:ox[-1] + 1, op[0]:op[-1] + 1] = block
-    edge = max(
-        float(np.max(np.abs(block[:2]))), float(np.max(np.abs(block[-2:]))),
-        float(np.max(np.abs(block[:, :2]))), float(np.max(np.abs(block[:, -2:]))),
-    )
-    peak = float(np.max(np.abs(block)))
-    if peak > 0 and edge > 1e-6 * peak and (ox[0] > 0 or op[0] > 0):
+    if _edge_ratio(block) > 1e-6 and (ox[0] > 0 or op[0] > 0):
         warnings.warn(
             "output mass reaches the reachable-box boundary; "
             "increase r_factor or the grid extent",
@@ -459,13 +407,10 @@ def bopp_apply(a_sigma, F: PhaseFunction,
     """
     grid = F.grid
     hbar = F.hbar
-    box = _support_box(F.values)
+    box = _support_box(F.values, pad=2)
     if box is None:
         return F.with_values(np.zeros_like(F.values))
-    i0, i1, k0, k1 = box
-    xs = grid.x_axis()
-    ps = grid.p_axis()
-    r_supp = max(abs(xs[i0]), abs(xs[i1 - 1]), abs(ps[k0]), abs(ps[k1 - 1]))
+    r_supp = _box_radius(box, [grid.x_axis(), grid.p_axis()])
     radius = r_factor * max(r_supp, grid.dx)
 
     step_x = 2.0 * grid.dx
@@ -487,11 +432,7 @@ def bopp_apply(a_sigma, F: PhaseFunction,
             "twisted symbol has not decayed at the truncation radius"
         )
 
-    flat_end = 1.0 - cutoff_fraction
-    chi = np.ones_like(rr)
-    roll = (rr > flat_end) & (rr <= 1.0)
-    chi[roll] = 0.5 * (1.0 + np.cos(math.pi * (rr[roll] - flat_end) / cutoff_fraction))
-    chi[rr > 1.0] = 0.0
+    chi = _raised_cosine(rr, cutoff_fraction)
     weights = a_vals * chi * (step_x * step_p) / (2.0 * math.pi * hbar)
 
     keep = np.abs(weights) > 1e-14 * max(peak, 1e-300)

@@ -264,6 +264,16 @@ def det_s_minus_i(w: GeneratingFunction) -> float:
     return float(sign / np.linalg.det(w.L) * np.linalg.det(w.hessian_xx()))
 
 
+def _checked_det_s_minus_i(s: SymplecticMatrix, det_floor: float) -> float:
+    """det(S - I), after checking that it clears ``det_floor``: the gate of
+    every phase-space integral form, whose prefactor is |det(S - I)|^{-+1/2}.
+    Raises SingularSMinusIError when |det(S - I)| <= det_floor."""
+    det_si = float(np.linalg.det(s.entries - np.eye(2 * s.n)))
+    if abs(det_si) <= det_floor:
+        raise SingularSMinusIError(f"|det(S - I)| = {abs(det_si):.3e} <= {det_floor:g}")
+    return det_si
+
+
 def rotation(alpha: float, n: int = 1) -> SymplecticMatrix:
     """Rotation by alpha in each (x_i, p_i) plane:
     [[cos a I, sin a I], [-sin a I, cos a I]]."""

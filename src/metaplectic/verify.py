@@ -19,16 +19,16 @@ from .asymptotics import (metaplectic_asymptotic, phase_critical_point,
 from .config import RunConfig
 from .feichtinger import s0_norm, invariance_check, s0_via_phase_metaplectic
 from .grids import Grid, gaussian, hermite_function
-from .indices import (conley_zehnder, cz_compose, cz_sign_check, inertia,
+from .indices import (conley_zehnder, cz_compose, cz_sign_check,
                       maslov_branch, maslov_compose)
 from .operators import (bochner_apply, factor_pair, heisenberg_weyl,
                         hbar_fourier, MetaplecticWord, qfio_apply)
 from .phase_space import (cross_wigner, metaplectic_phase_apply, moyal_inner,
-                          PhaseGrid, phase_shift, wigner_basis)
+                          phase_shift, wigner_basis)
 from .symplectic import (cayley, cayley_inverse, free_from_generating,
-                         generating_from_free, is_symplectic,
-                         random_free_generating, random_symplectic, rotation,
-                         rotation_generating, standard_j, SymplecticMatrix)
+                         generating_from_free, random_free_generating,
+                         random_symplectic, rotation, rotation_generating,
+                         standard_j, SymplecticMatrix)
 
 SUITES = ("core", "indices", "operators", "phase", "feichtinger",
           "asymptotics", "all")
@@ -52,6 +52,13 @@ def _gated_symplectic(rng: np.random.Generator, n: int = 1,
         two_n = 2 * n
         if abs(np.linalg.det(s.entries - np.eye(two_n))) > det_floor:
             return s
+
+
+def _bump(zz) -> np.ndarray:
+    """exp(-|z|^2) on (..., 2n) stacked phase-space points: the amplitude
+    of the small-hbar checks, here and in the ``asymptotic`` command."""
+    zz = np.asarray(zz, dtype=float)
+    return np.exp(-np.sum(zz * zz, axis=-1))
 
 
 def _rel(a, b) -> float:
@@ -189,11 +196,11 @@ def suite_operators(cfg: RunConfig, rng: np.random.Generator) -> list:
         "operators.fourier_gaussian_eigenvector",
         float(np.max(np.abs(jf.values
                             - np.exp(-1j * math.pi / 4) * dual_gauss.values))),
-        cfg.fft_tol))
+        config.FFT_TOL))
 
     h2 = hermite_function(2, grid, hbar)
     checks.append(_check("operators.fourier_unitarity",
-                         abs(hbar_fourier(h2).norm() - h2.norm()), cfg.fft_tol))
+                         abs(hbar_fourier(h2).norm() - h2.norm()), config.FFT_TOL))
 
     alpha = math.pi / 3
     w_rot = rotation_generating(alpha)
@@ -212,7 +219,7 @@ def suite_operators(cfg: RunConfig, rng: np.random.Generator) -> list:
         b = qfio_apply(w, 0, phi0, method="quadrature")
         cross = max(cross, _rel(a.values, b.values))
     checks.append(_check("operators.factored_vs_quadrature", cross,
-                         cfg.cross_tol))
+                         config.CROSS_TOL))
 
     unit = 0.0
     for _ in range(3):
@@ -246,7 +253,7 @@ def suite_operators(cfg: RunConfig, rng: np.random.Generator) -> list:
                          cutoff_fraction=cfg.cutoff_fraction)
     fact = qfio_apply(rotation_generating(math.pi / 2), 0, phi0)
     checks.append(_check("operators.bochner_vs_factored", _rel(
-        boch.values, fact.values), cfg.bochner_tol))
+        boch.values, fact.values), config.BOCHNER_TOL))
     return checks
 
 
@@ -407,15 +414,10 @@ def suite_asymptotics(cfg: RunConfig, rng: np.random.Generator) -> list:
     alpha = 2 * math.pi / 3
     s_rot = rotation(alpha)
     nu = conley_zehnder(rotation_generating(alpha), 0)
-
-    def bump(zz):
-        zz = np.asarray(zz, dtype=float)
-        return np.exp(-np.sum(zz * zz, axis=-1))
-
     z_eval = np.array([0.7, -0.4])
-    r1 = metaplectic_asymptotic(s_rot, nu, bump, z_eval, hbar=0.1,
+    r1 = metaplectic_asymptotic(s_rot, nu, _bump, z_eval, hbar=0.1,
                                 support_radius=5.0)
-    r2 = metaplectic_asymptotic(s_rot, nu, bump, z_eval, hbar=0.05,
+    r2 = metaplectic_asymptotic(s_rot, nu, _bump, z_eval, hbar=0.05,
                                 support_radius=5.0)
     ratio = r2.relative_error / r1.relative_error
     checks.append(_check("asymptotics.hbar_halving_ratio",
@@ -443,6 +445,7 @@ def run_suite(suite: str, cfg: RunConfig) -> dict:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     names = [s for s in SUITES if s != "all"] if suite == "all" else [suite]
+    grid = _default_grid(cfg)
     checks = []
     for name in names:
         rng = np.random.default_rng([cfg.seed, _SUITE_OFFSET[name]])
@@ -451,7 +454,7 @@ def run_suite(suite: str, cfg: RunConfig) -> dict:
     return {
         "suite": suite,
         "seed": cfg.seed,
-        "grid": {"n": cfg.n, "N": cfg.N, "X": cfg.X},
+        "grid": {"n": grid.n, "N": grid.N, "X": grid.X},
         "hbar": cfg.hbar,
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),

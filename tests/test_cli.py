@@ -221,6 +221,15 @@ def test_config_file_and_flag_precedence(workdir, capsys, monkeypatch):
     assert rep["grid"]["N"] == 128
 
 
+def test_config_file_cannot_loosen_verify_tolerances(workdir, capsys):
+    # verify tolerances are fixed in code, so a config key naming one is
+    # rejected as unknown instead of turning a failing check into a pass
+    cfile = workdir / "loose.txt"
+    cfile.write_text("bochner_tol = 1\n")
+    assert main(["--config", str(cfile), "verify", "--suite", "operators"]) == 2
+    assert "unknown key 'bochner_tol'" in capsys.readouterr().err
+
+
 def test_exit_code_numerical_domain(workdir, capsys):
     rc = main(["asymptotic", "--alpha", "0.0", "--hbar-list", "0.1",
                "--z", "0,0"])

@@ -28,6 +28,7 @@ from metaplectic import (
     random_symplectic,
     rotation,
     rotation_generating,
+    SampledFunction,
     scale_op,
     support_radius,
 )
@@ -199,6 +200,14 @@ def test_fractional_rotation_additivity(grid, phi0):
 def test_support_radius_gaussian(grid, phi0):
     r = support_radius(phi0)
     assert 4.0 < r < 9.0  # exp(-r^2/2) crosses 1e-12 of peak near r = 7.4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sampled_function_rejects_non_finite_samples(grid, phi0, bad):
+    vals = phi0.values.copy()
+    vals[7] = bad
+    with pytest.raises(GridMismatchError, match="finite"):
+        SampledFunction(grid, HBAR, vals)
 
 
 def test_bochner_matches_factored_rotation(grid, phi0):

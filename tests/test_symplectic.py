@@ -6,15 +6,21 @@ import numpy as np
 import pytest
 
 from metaplectic import (
+    bochner_apply,
     cayley,
     cayley_inverse,
     chirp_matrix,
+    cross_wigner,
     det_s_minus_i,
     free_from_generating,
+    gaussian,
     GeneratingFunction,
     generating_from_free,
+    Grid,
     is_free,
     is_symplectic,
+    metaplectic_asymptotic,
+    metaplectic_phase_apply,
     NotFreeError,
     random_free_generating,
     random_symplectic,
@@ -188,6 +194,22 @@ def test_cayley_round_trip():
 def test_cayley_rejects_singular_s_minus_i():
     with pytest.raises(SingularSMinusIError):
         cayley(SymplecticMatrix(np.eye(2)))
+
+
+_PHI0 = gaussian(Grid(n=1, N=64, X=12.0), 1.0)
+
+
+@pytest.mark.parametrize("apply_identity", [
+    lambda s: bochner_apply(s, 0, _PHI0),
+    lambda s: metaplectic_phase_apply(s, 0, cross_wigner(_PHI0, _PHI0)),
+    lambda s: metaplectic_asymptotic(
+        s, 0, lambda z: np.exp(-np.sum(np.asarray(z) ** 2, axis=-1)),
+        np.zeros(2), hbar=0.1),
+], ids=["bochner_apply", "metaplectic_phase_apply", "metaplectic_asymptotic"])
+def test_phase_space_integrals_reject_singular_s_minus_i(apply_identity):
+    # S = I: every phase-space integral form divides by |det(S - I)|
+    with pytest.raises(SingularSMinusIError):
+        apply_identity(SymplecticMatrix(np.eye(2)))
 
 
 def test_det_s_minus_i_matches_matrix_determinant():
