@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 from scipy.fft import next_fast_len
+from scipy.special import i0
 
 __all__ = ["nufft2d2"]
 
@@ -29,7 +30,7 @@ def _kb_window(t: np.ndarray, half_width: float) -> np.ndarray:
     u = t / half_width
     inside = np.abs(u) < 1.0
     out = np.zeros_like(t)
-    out[inside] = np.i0(_BETA * np.sqrt(1.0 - u[inside] ** 2))
+    out[inside] = i0(_BETA * np.sqrt(1.0 - u[inside] ** 2))
     return out
 
 

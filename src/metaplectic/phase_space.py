@@ -24,6 +24,7 @@ import math
 import warnings
 
 import numpy as np
+from scipy.fft import fft, ifft, next_fast_len
 
 from . import config
 from .errors import (
@@ -150,11 +151,13 @@ class PhaseFunction:
     def inner(self, other: "PhaseFunction") -> complex:
         if self.grid != other.grid or abs(self.hbar - other.hbar) > 1e-15:
             raise GridMismatchError("phase functions live on different frames")
-        w = self.grid.trapezoid_weights()
-        return complex(np.sum(self.values * np.conj(other.values) * w))
+        g = self.grid
+        prod = self.values * np.conj(other.values)
+        return complex(_trapezoid(g.N, g.dx) @ prod @ _trapezoid(g.N_p, g.dp))
 
     def l1_norm(self) -> float:
-        return float(np.sum(np.abs(self.values) * self.grid.trapezoid_weights()))
+        g = self.grid
+        return float(_trapezoid(g.N, g.dx) @ np.abs(self.values) @ _trapezoid(g.N_p, g.dp))
 
 
 def cross_wigner(f: SampledFunction, g: SampledFunction) -> PhaseFunction:
@@ -404,6 +407,15 @@ def bopp_apply(a_sigma, F: PhaseFunction,
     is an exact index move; truncation at R = r_factor * support radius
     with a radial raised-cosine roll-off.  The symbol must have decayed
     at the truncation ring, else the quadrature is meaningless.
+
+    The sum over shifts (a, b) is a twisted convolution.  Its row-dependent
+    factor e^{i theta_j b}, theta_j = 2 x_j dp / hbar, splits as
+    e^{i theta_j (k - c)} e^{-i theta_j (k - b - c)} with c = N_p // 2, i.e.
+    a modulation mod = e^{-2 i x p / hbar} of the row-shifted F before the
+    p-sum and its conjugate after it.  For each x-shift a the p-sum is then
+    one row-independent linear convolution, done by a zero-padded FFT of
+    length L = next_fast_len(N_p + min(kp, N_p - 1)): O(Kx N L log L) work
+    for Kx x-shifts instead of O(Kx Kp N N_p).
     """
     grid = F.grid
     hbar = F.hbar
@@ -434,15 +446,27 @@ def bopp_apply(a_sigma, F: PhaseFunction,
 
     chi = _raised_cosine(rr, cutoff_fraction)
     weights = a_vals * chi * (step_x * step_p) / (2.0 * math.pi * hbar)
-
     keep = np.abs(weights) > 1e-14 * max(peak, 1e-300)
-    out = np.zeros(grid.shape(), dtype=complex)
+    weights = np.where(keep, weights, 0.0)
+
+    n_x, n_p = grid.shape()
+    # p-shifts of N_p or more move F off the grid; the rest form the kernel
+    kp_in = min(kp, n_p - 1)
+    length = next_fast_len(n_p + kp_in)
+    kernel = np.zeros((2 * kx + 1, length), dtype=complex)
+    kernel[:, np.arange(-kp_in, kp_in + 1) % length] = weights[:, kp - kp_in:kp + kp_in + 1]
+    kernel_hat = fft(kernel, axis=1)
+
     xg = grid.x_axis()
     pg = grid.p_axis()
-    for ix, ip in zip(*np.nonzero(keep)):
-        w = weights[ix, ip]
-        shifted = _integer_shift(F.values, (ix - kx, ip - kp))
-        col = np.exp(1j * xg * p0[ip] / hbar)
-        row = np.exp(-1j * pg * x0[ix] / hbar)
-        out += (w * col)[:, None] * row[None, :] * shifted
-    return F.with_values(out)
+    mod = np.exp((-2j / hbar) * np.multiply.outer(xg, pg))
+    acc = np.zeros(grid.shape(), dtype=complex)
+    for ix in np.nonzero(keep.any(axis=1))[0]:
+        a = ix - kx
+        lo, hi = max(0, a), min(n_x, n_x + a)
+        if lo >= hi:
+            continue
+        g = mod[lo:hi] * F.values[lo - a:hi - a]
+        conv = ifft(fft(g, n=length, axis=1) * kernel_hat[ix], axis=1)[:, :n_p]
+        acc[lo:hi] += np.exp(-1j * pg * x0[ix] / hbar) * conv
+    return F.with_values(np.conj(mod) * acc)

@@ -20,6 +20,7 @@ from metaplectic import (
     SingularSMinusIError,
     standard_j,
     stationary_phase,
+    TruncationError,
 )
 
 
@@ -90,6 +91,67 @@ def test_stationary_phase_indefinite_2d():
         errs.append(abs(lead - quad) / abs(quad))
     assert errs[1] < 0.7 * errs[0]
     assert errs[1] < 0.01
+
+
+def _gaussian_fresnel(m, b, c, a, lam):
+    """Closed form of Integral e^{i lam (M x.x / 2 + b.x + c)} e^{-a |x|^2 / 2} dx:
+    (2 pi)^{k/2} det(Q)^{-1/2} e^{i lam c} e^{j.Q^{-1} j / 2}, Q = a I - i lam M,
+    j = i lam b, with det(Q)^{-1/2} the product of principal roots over the
+    eigenvalues a - i lam mu of Q (all in the right half-plane)."""
+    m = np.atleast_2d(m)
+    k = m.shape[0]
+    q = a * np.eye(k) - 1j * lam * m
+    j = 1j * lam * np.asarray(b, dtype=float)
+    root = np.prod(np.sqrt(a - 1j * lam * np.linalg.eigvalsh(m)))
+    return ((2 * math.pi) ** (k / 2) / root * np.exp(1j * lam * c)
+            * np.exp(0.5 * j @ np.linalg.solve(q, j)))
+
+
+@pytest.mark.parametrize("m, b, c, lam", [
+    (np.array([[2.0]]), np.array([0.6]), 0.1, 30.0),
+    (np.array([[1.5, 0.4], [0.4, -0.9]]), np.array([0.2, -0.5]), 0.3, 20.0),
+])
+def test_oscillatory_quadrature_matches_gaussian_fresnel_integral(m, b, c, lam):
+    a = 2.0
+    amp = lambda x: np.exp(-0.5 * a * np.sum(x * x, axis=-1))
+    quad = oscillatory_quadrature(QuadraticPhase(m, b, c), amp, lam, radius=9.0)
+    exact = _gaussian_fresnel(m, b, c, a, lam)
+    assert abs(quad - exact) <= 1e-9 * abs(exact)
+
+
+def test_oscillatory_quadrature_samples_one_lattice():
+    # the lambda = 20 input of test_stationary_phase_indefinite_2d converges
+    # on its first lattice: the witness is that lattice's even sublattice,
+    # so the amplitude is evaluated on one (n0+1)^2 lattice and nowhere else
+    m = np.array([[1.5, 0.4], [0.4, -0.9]])
+    b = np.array([0.2, -0.5])
+    lam, radius = 20.0, 9.0
+    rows, n_points = [], []
+
+    def amp(x):
+        # every call is a mesh: record its row values, check its columns
+        x = np.asarray(x)
+        r, cols = np.unique(x[..., 0]), np.unique(x[..., 1])
+        assert x[..., 0].size == r.size * cols.size
+        np.testing.assert_array_equal(cols, np.linspace(-radius, radius, cols.size))
+        rows.append(r)
+        n_points.append(x[..., 0].size)
+        return np.exp(-0.4 * np.sum(x * x, axis=-1))
+
+    oscillatory_quadrature(QuadraticPhase(m, b), amp, lam, radius=radius)
+    slope = lam * (np.linalg.norm(m, 2) * radius + np.linalg.norm(b))
+    n0 = int(2 ** math.ceil(math.log2(max(16.0, slope * radius / math.pi * 2.5))))
+    assert sum(n_points) == (n0 + 1) ** 2
+    np.testing.assert_array_equal(np.concatenate(rows),
+                                  np.linspace(-radius, radius, n0 + 1))
+
+
+def test_oscillatory_quadrature_raises_when_unconverged():
+    ph = QuadraticPhase(np.array([[1.5, 0.4], [0.4, -0.9]]), np.array([0.2, -0.5]))
+    amp = lambda x: np.exp(-0.4 * np.sum(x * x, axis=-1))
+    with pytest.raises(TruncationError):
+        oscillatory_quadrature(ph, amp, 20.0, radius=9.0, rel_tol=1e-16,
+                               max_doublings=1)
 
 
 def test_cayley_determinant_power_identity():

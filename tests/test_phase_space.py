@@ -24,6 +24,7 @@ from metaplectic import (
     MetaplecticWord,
     moyal_inner,
     OutOfDomainError,
+    PhaseFunction,
     PhaseGrid,
     phase_shift,
     qfio_apply,
@@ -31,6 +32,7 @@ from metaplectic import (
     rotation,
     rotation_generating,
     symplectic_form,
+    TruncationError,
     wigner_basis,
 )
 
@@ -275,3 +277,74 @@ def test_bopp_gaussian_symbol_matches_analytic_kernel(phi0, h1):
                          - 2 * tau ** 2 * (p - ps) ** 2 / HBAR ** 2) * wp
             expected = pref * (col @ F.values @ row)
             assert abs(out.values[ix, ip] - expected) < 1e-5
+
+
+def _bopp_direct(a_sigma, F, r_factor=3.0, cutoff_fraction=0.2):
+    """The Bopp quadrature as a plain double loop over the even-sublattice
+    shifts (a, b): out += w_ab e^{i x p0_b / hbar} e^{-i p x0_a / hbar}
+    F(x - a 2dx/2, p - b 2dp/2), with the same truncation as bopp_apply."""
+    grid, hbar, vals = F.grid, F.hbar, F.values
+    xg, pg = grid.x_axis(), grid.p_axis()
+    mag = np.abs(vals)
+    keep_f = mag > 1e-12 * mag.max()
+    rows = np.nonzero(keep_f.any(axis=1))[0]
+    cols = np.nonzero(keep_f.any(axis=0))[0]
+    i0, i1 = max(0, rows[0] - 2), min(grid.N, rows[-1] + 3)
+    k0, k1 = max(0, cols[0] - 2), min(grid.N_p, cols[-1] + 3)
+    r_supp = max(abs(xg[i0]), abs(xg[i1 - 1]), abs(pg[k0]), abs(pg[k1 - 1]))
+    radius = r_factor * max(r_supp, grid.dx)
+    kx = int(math.floor(radius / (2 * grid.dx)))
+    kp = int(math.floor(radius / (2 * grid.dp)))
+    out = np.zeros_like(vals)
+    for a in range(-kx, kx + 1):
+        for b in range(-kp, kp + 1):
+            x0, p0 = 2 * a * grid.dx, 2 * b * grid.dp
+            s = math.hypot(x0, p0) / radius
+            if s > 1.0 or abs(a) >= grid.N or abs(b) >= grid.N_p:
+                continue  # outside the cutoff, or F moved off the grid
+            chi = 1.0
+            if s > 1.0 - cutoff_fraction:
+                chi = 0.5 * (1.0 + math.cos(math.pi * (s - 1.0 + cutoff_fraction)
+                                            / cutoff_fraction))
+            w = a_sigma(x0, p0) * chi * (4 * grid.dx * grid.dp) / (2 * math.pi * hbar)
+            shifted = np.zeros_like(vals)
+            shifted[max(0, a):grid.N + min(0, a), max(0, b):grid.N_p + min(0, b)] = \
+                vals[max(0, -a):grid.N - max(0, a), max(0, -b):grid.N_p - max(0, b)]
+            out += (w * np.exp(1j * xg * p0 / hbar))[:, None] \
+                * np.exp(-1j * pg * x0 / hbar)[None, :] * shifted
+    return out
+
+
+def _enveloped_phase_function(grid, hbar):
+    xx, pp = grid.meshgrid()
+    vals = (np.exp(-0.5 * (xx ** 2 + 1.5 * pp ** 2)) * (1.0 + 0.4 * xx - 0.3j * pp)
+            * np.exp(1j * (0.7 * xx - 0.4 * pp)))
+    return PhaseFunction(grid, hbar, vals)
+
+
+@pytest.mark.parametrize("pgrid", [
+    PhaseGrid(1, 32, 6.0, 48, 5.0),   # not a cross_wigner grid: dp != pi hbar / (2X)
+    PhaseGrid(1, 16, 2.0, 48, 5.0),   # x-shifts beyond the grid (kx >= N)
+    PhaseGrid(1, 32, 6.0, 16, 1.0),   # p-shifts beyond the grid (kp >= N_p)
+])
+def test_bopp_matches_direct_shift_sum_on_general_grid(pgrid):
+    hbar = 0.8
+    F = _enveloped_phase_function(pgrid, hbar)
+    zc = np.array([0.3, -0.2])
+
+    def a_sigma(zx, zp):
+        return (np.exp(-(zx * zx + zp * zp) / (2 * 1.5 ** 2))
+                * np.exp(-1j * (zp * zc[0] - zx * zc[1]) / hbar))
+
+    out = bopp_apply(a_sigma, F).values
+    expected = _bopp_direct(a_sigma, F)
+    assert np.max(np.abs(expected)) > 0
+    assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_bopp_rejects_symbol_not_decayed_at_truncation_ring():
+    pgrid = PhaseGrid(1, 32, 6.0, 48, 5.0)
+    F = _enveloped_phase_function(pgrid, 1.0)
+    wide = lambda zx, zp: np.exp(-(zx * zx + zp * zp) / (2 * 10.0 ** 2))
+    with pytest.raises(TruncationError):
+        bopp_apply(wide, F)
