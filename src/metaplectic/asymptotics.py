@@ -25,9 +25,9 @@ import numpy as np
 
 from . import config
 from .errors import DegeneratePhaseError, TruncationError
-from .grids import _raised_cosine, _trapezoid
+from .grids import _BLOCK_BYTES, _raised_cosine, _trapezoid
 from .indices import signature
-from .symplectic import SymplecticMatrix, _checked_det_s_minus_i, cayley, standard_j
+from .symplectic import SymplecticMatrix, _integral_form, cayley, standard_j
 
 __all__ = [
     "QuadraticPhase",
@@ -141,7 +141,7 @@ def oscillatory_quadrature(phase: QuadraticPhase, amplitude, lam: float,
             e1, e2 = w * f1, w * f2
             c1, c2 = w2 * f1, (w2 * f2)[::2]
             total = witness = 0.0 + 0.0j
-            rows = max(2, (1 << 22) // (n0 + 1) // 2 * 2)
+            rows = max(2, _BLOCK_BYTES // (16 * (n0 + 1)) // 2 * 2)
             for lo in range(0, n0 + 1, rows):
                 hi = min(lo + rows, n0 + 1)
                 g1 = ax[lo:hi, None]
@@ -186,9 +186,7 @@ def phase_critical_value(s: SymplecticMatrix, z: np.ndarray) -> float:
 
 
 def metaplectic_asymptotic(s: SymplecticMatrix, nu: int, F, z: np.ndarray,
-                           hbar: float, support_radius: float = 6.0,
-                           det_floor: float = 1e-6,
-                           oracle_tol: float = 1e-6) -> AsymptoticResult:
+                           hbar: float, support_radius: float = 6.0) -> AsymptoticResult:
     """Leading small-hbar term of the extended metaplectic operator at z,
     against a direct quadrature reference.
 
@@ -200,13 +198,13 @@ def metaplectic_asymptotic(s: SymplecticMatrix, nu: int, F, z: np.ndarray,
         F(z - z_c/2) / sqrt(|det(S-I)| |det M_S|),
 
     the (2 pi hbar)^n factors from the prefactor and the stationary-phase
-    lemma having cancelled.
+    lemma having cancelled.  M_S and the prefactor are the Cayley row of the
+    table of integral forms (``symplectic._integral_form``).
     """
     two_n = 2 * s.n
-    det_si = _checked_det_s_minus_i(s, det_floor)
-    if abs(np.linalg.det(s.entries + np.eye(two_n))) <= det_floor:
+    _, m_cay, pref = _integral_form(s, nu, twisted=False)
+    if abs(np.linalg.det(s.entries + np.eye(two_n))) <= config.DET_FLOOR:
         raise DegeneratePhaseError("det(S + I) vanishes: M_S is degenerate")
-    m_cay = cayley(s)
     j = standard_j(s.n)
     z = np.asarray(z, dtype=float).reshape(two_n)
     lam = 1.0 / hbar
@@ -217,14 +215,12 @@ def metaplectic_asymptotic(s: SymplecticMatrix, nu: int, F, z: np.ndarray,
         z0 = np.asarray(z0, dtype=float)
         return np.asarray(F(z - 0.5 * z0), dtype=complex)
 
-    pref = (1j ** (int(nu) % 4)) / ((2.0 * math.pi * hbar) ** s.n
-                                    * math.sqrt(abs(det_si)))
+    pref = pref / (2.0 * math.pi * hbar) ** s.n
     lead = pref * stationary_phase(phase, amplitude, lam)
 
     # the z0-integrand is supported where z - z0/2 lies in supp F
     radius = 2.0 * (support_radius + float(np.linalg.norm(z))) + 1.0
-    quad = pref * oscillatory_quadrature(phase, amplitude, lam, radius,
-                                         rel_tol=oracle_tol)
+    quad = pref * oscillatory_quadrature(phase, amplitude, lam, radius)
     rel = abs(lead - quad) / max(abs(quad), 1e-12)
     return AsymptoticResult(leading=complex(lead), quadrature=complex(quad),
                             hbar=float(hbar), relative_error=float(rel))

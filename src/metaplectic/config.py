@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 TOL_SYMP = 1e-10     # symplecticity / matrix identity residuals
 TOL_SING = 1e-12     # singularity gate for det(S - I), det(M - J/2)
 TOL_EIG = 1e-9       # eigenvalue cutoff when counting inertia
+DET_FLOOR = 1e-6     # gate on |det(S - I)| of the phase-space integral forms
 
 # Grid-level tolerances.  The ``verify`` certificates read FFT_TOL,
 # CROSS_TOL and BOCHNER_TOL directly, so no config file can loosen them.

@@ -122,8 +122,8 @@ class SampledFunction:
                     stacklevel=2,
                 )
 
-    def with_values(self, values: np.ndarray, check_tails: bool = False) -> "SampledFunction":
-        return SampledFunction(self.grid, self.hbar, values, check_tails=check_tails)
+    def with_values(self, values: np.ndarray) -> "SampledFunction":
+        return SampledFunction(self.grid, self.hbar, values, check_tails=False)
 
     def norm(self) -> float:
         """L^2 norm: sqrt(dx^n sum |f_j|^2)."""
@@ -145,11 +145,10 @@ def require_same_frame(f: SampledFunction, g: SampledFunction) -> None:
         raise GridMismatchError(f"hbar differs: {f.hbar} vs {g.hbar}")
 
 
-def sample(fn, grid: Grid, hbar: float, check_tails: bool = True) -> SampledFunction:
+def sample(fn, grid: Grid, hbar: float) -> SampledFunction:
     """Sample a callable of n coordinate arrays onto a grid."""
     vals = fn(*grid.meshgrid())
-    return SampledFunction(grid, hbar, np.asarray(vals, dtype=complex),
-                           check_tails=check_tails)
+    return SampledFunction(grid, hbar, np.asarray(vals, dtype=complex))
 
 
 def gaussian(grid: Grid, hbar: float) -> SampledFunction:
@@ -197,6 +196,11 @@ def interpolate_values(values: np.ndarray, grid: Grid,
 
 # ----------------------------------------------------------------------
 # lattice primitives shared by the configuration-space and phase-space code
+
+# Bytes of complex (16-byte) entries in one block of a blocked quadrature
+# sum; the float and complex temporaries of a block are a few times this.
+_BLOCK_BYTES = 1 << 24
+
 
 def _cubic_at(values: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Complex cubic-spline values at fractional index coordinates

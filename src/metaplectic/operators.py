@@ -35,14 +35,14 @@ from .errors import (
     FactorizationFailedError,
     GridMismatchError,
 )
-from .grids import (SampledFunction, _box_radius, _centered_fft, _edge_ratio,
-                    _integer_shift, _raised_cosine, _support_box, _trapezoid,
-                    interpolate_values)
+from .grids import (SampledFunction, _BLOCK_BYTES, _box_radius, _centered_fft,
+                    _edge_ratio, _integer_shift, _raised_cosine, _support_box,
+                    _trapezoid, interpolate_values)
 from .indices import maslov_branch
 from .symplectic import (
     GeneratingFunction,
     SymplecticMatrix,
-    _checked_det_s_minus_i,
+    _integral_form,
     cayley,
     det_s_minus_i,
     free_from_generating,
@@ -134,8 +134,7 @@ def scale_op(f: SampledFunction, l: np.ndarray, m: int) -> SampledFunction:
     return f.with_values(amp * vals)
 
 
-def hbar_fourier(f: SampledFunction, inverse: bool = False,
-                 warn_bandwidth: bool = True) -> SampledFunction:
+def hbar_fourier(f: SampledFunction, inverse: bool = False) -> SampledFunction:
     """Apply J = i^{-n/2} F_hbar; the result lives on the hbar-dual grid.
 
     F_hbar f(p) = (2 pi hbar)^{-n/2} Integral exp(-i p.x / hbar) f(x) dx,
@@ -149,7 +148,7 @@ def hbar_fourier(f: SampledFunction, inverse: bool = False,
     phase = np.exp(-1j * math.pi * n / 4.0) if not inverse else np.exp(1j * math.pi * n / 4.0)
     vals = phase * scale * _centered_fft(f.values, inverse=inverse)
     out = SampledFunction(grid.dual(f.hbar), f.hbar, vals, check_tails=False)
-    if warn_bandwidth and _edge_ratio(vals) > config.TAIL_TOL:
+    if _edge_ratio(vals) > config.TAIL_TOL:
         warnings.warn(
             "spectral mass reaches the dual-grid edge; increase N or X",
             BandwidthExceededWarning,
@@ -239,7 +238,7 @@ def _qfio_quadrature(w: GeneratingFunction, m: int, f: SampledFunction) -> Sampl
         * (1j ** m) * math.sqrt(abs(np.linalg.det(w.L)))
     )
     out = np.empty(total, dtype=complex)
-    chunk = max(1, (1 << 22) // total)
+    chunk = max(1, _BLOCK_BYTES // (16 * total))
     for start in range(0, total, chunk):
         xs = pts[start:start + chunk]
         phase = w.value(xs[:, None, :], pts[None, :, :])
@@ -316,7 +315,7 @@ _THETA_CANDIDATES = (
 _LAMBDA_CANDIDATES = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 4.0, -4.0)
 
 
-def factor_pair(s: SymplecticMatrix, det_floor: float = 1e-6):
+def factor_pair(s: SymplecticMatrix):
     """Factor S into two free factors with nondegenerate S_W - I.
 
     Writes S = S_{W1} S_{W2} with S_{W2} a plane rotation, then shifts
@@ -326,7 +325,7 @@ def factor_pair(s: SymplecticMatrix, det_floor: float = 1e-6):
     min(|det(S_{W1} - I)|, |det(S_{W2} - I)|).
 
     Returns ((W1, m1), (W2, m2)).  Raises FactorizationFailedError when no
-    candidate clears ``det_floor``.
+    candidate clears ``config.DET_FLOOR``, the gate of the integral forms.
     """
     n = s.n
     best_theta, best_sv = None, 0.0
@@ -352,9 +351,9 @@ def factor_pair(s: SymplecticMatrix, det_floor: float = 1e-6):
         if best is None or score > best[0]:
             best = (score, w1l, w2l)
     score, w1l, w2l = best
-    if score <= det_floor:
+    if score <= config.DET_FLOOR:
         raise FactorizationFailedError(
-            f"lambda scan left min |det(S_W - I)| = {score:.3e} <= {det_floor:g}"
+            f"lambda scan left min |det(S_W - I)| = {score:.3e} <= {config.DET_FLOOR:g}"
         )
     resid = np.max(np.abs(
         (free_from_generating(w1l) @ free_from_generating(w2l)).entries - s.entries
@@ -378,21 +377,17 @@ def support_radius(f: SampledFunction, rel_tol: float = config.TAIL_TOL) -> floa
 def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
                   form: str = "s1",
                   r_factor: float = config.R_FACTOR,
-                  cutoff_fraction: float = config.CUTOFF_FRACTION,
-                  det_floor: float = 1e-6,
-                  oversample: float = 2.5) -> SampledFunction:
-    """Apply S to f through its phase-space (Bochner) integral.
+                  cutoff_fraction: float = config.CUTOFF_FRACTION) -> SampledFunction:
+    """Apply S to f through its phase-space (Bochner) integral
 
-    form="s1":   (2 pi hbar)^{-n} i^nu / sqrt|det(S-I)|
-                 Integral exp(i M_S z.z / 2 hbar) T(z) f dz
-    form="s2":   the same integral written with the twisted phase
-                 exp(-i sigma(S u, u) / 2 hbar) on the substituted lattice
-                 u = (S - I)^{-1} z (checks the Cayley identities);
-    form="s3":   the integrand assembled as T(S u) T(-u) through two
-                 Heisenberg-Weyl phase compositions (checks the
-                 commutation cocycle).
+        (2 pi hbar)^{-n} pref Integral exp(i u.Sigma u / 2 hbar) T(K u) f du
 
-    The lattice is truncated at |z| <= R = r_factor * support_radius(f)
+    over a row (K, Sigma, pref) of the table of integral forms,
+    ``symplectic._integral_form``: form="s1" is the Cayley row (K = I, chirp
+    M_S), "s2" and "s3" the twisted row (checks the Cayley identities).
+    Every form sums over one z0 = K u lattice, with the Jacobian 1 / |det K|.
+
+    The lattice is truncated at |z0| <= R = r_factor * support_radius(f)
     with a radial raised-cosine cutoff; x0 runs over exact grid multiples,
     p0 over a Nyquist-resolved uniform lattice.  One degree of freedom
     only.  Independent of the (W, m) data: uses (S, nu) and the Cayley
@@ -402,9 +397,8 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
         raise GridMismatchError("bochner_apply supports n = 1 only")
     if form not in ("s1", "s2", "s3"):
         raise ValueError(f"unknown form {form!r}")
-    two_n = 2 * s.n
-    det_si = _checked_det_s_minus_i(s, det_floor)
-    m_cay = cayley(s)
+    k_mat, sigma, pref = _integral_form(s, nu, twisted=form != "s1")
+    kinv = np.linalg.inv(k_mat)
     hbar = f.hbar
     grid = f.grid
     dx = grid.dx
@@ -418,35 +412,23 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
     k_max = int(math.floor(radius / dx))
     x0 = np.arange(-k_max, k_max + 1) * dx
 
+    # one z0 lattice for every form; p0 at 2.5x the Nyquist rate of M_S
+    m_cay = cayley(s)
     slope = (abs(m_cay[1, 1]) * radius + abs(m_cay[0, 1]) * radius
              + grid.X + 0.5 * radius) / hbar
-    dp0 = math.pi / (oversample * max(slope, 1.0 / radius))
+    dp0 = math.pi / (2.5 * max(slope, 1.0 / radius))
     j_max = int(math.ceil(radius / dp0))
     p0 = np.arange(-j_max, j_max + 1) * dp0
 
     xx, pp = np.meshgrid(x0, p0, indexing="ij")
     chi = _raised_cosine(np.hypot(xx, pp) / radius, cutoff_fraction)
 
-    if form == "s1":
-        quad = 0.5 * (m_cay[0, 0] * xx * xx + 2.0 * m_cay[0, 1] * xx * pp
-                      + m_cay[1, 1] * pp * pp)
-        coeff = np.exp(1j * (quad - 0.5 * pp * xx) / hbar)
-    else:
-        # substituted lattice u = (S - I)^{-1} z0, same z0 points and measure
-        kinv = np.linalg.inv(s.entries - np.eye(two_n))
-        ux = kinv[0, 0] * xx + kinv[0, 1] * pp
-        up = kinv[1, 0] * xx + kinv[1, 1] * pp
-        sux = s.entries[0, 0] * ux + s.entries[0, 1] * up
-        sup = s.entries[1, 0] * ux + s.entries[1, 1] * up
-        if form == "s2":
-            # exp(-i sigma(Su, u) / 2 hbar) and the shift phase of T(z0)
-            sigma = sup * ux - sux * up
-            coeff = np.exp(1j * (-0.5 * sigma - 0.5 * pp * xx) / hbar)
-        else:
-            # T(Su) T(-u): compose the two Weyl phases literally
-            ph = (-0.5 * sup * sux) + up * sux - 0.5 * up * ux
-            coeff = np.exp(1j * ph / hbar)
-    coeff = coeff * chi
+    # u.Sigma u / 2 at u = K^{-1} z0, and the shift phase of T(z0)
+    ux = kinv[0, 0] * xx + kinv[0, 1] * pp
+    up = kinv[1, 0] * xx + kinv[1, 1] * pp
+    quad = 0.5 * (sigma[0, 0] * ux * ux + 2.0 * sigma[0, 1] * ux * up
+                  + sigma[1, 1] * up * up)
+    coeff = np.exp(1j * (quad - 0.5 * pp * xx) / hbar) * chi
 
     # inner p0 transform: for each x0 row, sum_p0 coeff exp(i p0 x / hbar)
     inner = _fourier_sum_axis(
@@ -460,6 +442,6 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
         shift = idx - k_max
         out += _integer_shift(fvals, (shift,)) * inner[idx]
 
-    pref = (1j ** (int(nu) % 4)) / math.sqrt(abs(det_si)) / (2.0 * math.pi * hbar)
+    pref = pref / abs(np.linalg.det(k_mat)) / (2.0 * math.pi * hbar)
     out *= pref * dx * dp0
     return f.with_values(out)

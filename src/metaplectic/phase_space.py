@@ -3,19 +3,17 @@
 Cross-Wigner transforms, phase-space translations, Bopp operators, and the
 extended metaplectic operators acting on functions of z = (x, p).  The
 extended operator attached to (S, nu) is realized by honest quadrature of
-its phase-space integral, in any of three algebraically equivalent forms:
+its phase-space integral
 
-    s1:    (2 pi hbar)^{-n} i^nu / sqrt|det(S-I)|
-           Integral exp(i M_S z0.z0 / 2 hbar) Ttilde(z0) F dz0
-    alfa2: (2 pi hbar)^{-n} i^nu sqrt|det(S-I)|
-           Integral exp(-i sigma(S z, z) / 2 hbar) Ttilde((S-I) z) F dz
-    alfa1: the same integral with the integrand assembled as the literal
-           composition Ttilde(S z) Ttilde(-z).
+    (2 pi hbar)^{-n} pref Integral exp(i u.Sigma u / 2 hbar) Ttilde(K u) F du
 
-All forms are reduced, by the substitution v = z - A z0 that places the
-integration variable on the sample lattice of F, to a quadratic chirp
-times a sheared-lattice Fourier sum, which is evaluated by a type-2
-nonuniform FFT.  One degree of freedom (two-dimensional phase space).
+over one of the two rows (K, Sigma, pref) of the table of integral forms,
+``symplectic._integral_form``: the Cayley row (form name s1) or the twisted
+row (form names alfa1 and alfa2, which are one route).  The integral is
+reduced, by the substitution v = z - K u / 2 that places the integration
+variable on the sample lattice of F, to a quadratic chirp times a
+sheared-lattice Fourier sum, which is evaluated by a type-2 nonuniform FFT.
+One degree of freedom (two-dimensional phase space).
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from .grids import (Grid, SampledFunction, _box_radius, _centered_fft, _checked_
                     _cubic_at, _edge_ratio, _integer_shift, _raised_cosine,
                     _support_box, _trapezoid, hermite_function, require_same_frame)
 from .nufft import nufft2d2
-from .symplectic import SymplecticMatrix, _checked_det_s_minus_i, cayley, standard_j
+from .symplectic import SymplecticMatrix, _integral_form, standard_j
 
 __all__ = [
     "PhaseGrid",
@@ -247,59 +245,26 @@ def _fft_upsample(vals: np.ndarray, u1: int, u2: int) -> np.ndarray:
     if u1 == 1 and u2 == 1:
         return vals
     n1, n2 = vals.shape
-    spec = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(vals)))
     big = np.zeros((n1 * u1, n2 * u2), dtype=complex)
     r0 = (n1 * u1) // 2 - n1 // 2
     c0 = (n2 * u2) // 2 - n2 // 2
-    big[r0:r0 + n1, c0:c0 + n2] = spec
-    return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(big))) * (u1 * u2)
+    big[r0:r0 + n1, c0:c0 + n2] = _centered_fft(vals)
+    return _centered_fft(big, inverse=True) / (n1 * n2)
 
 
 _MAX_WORK_POINTS = 8_000_000
 
 
-def _phase_form_parameters(s: SymplecticMatrix, nu: int, det_si: float,
-                           hbar: float, form: str):
-    """(R_bil, Sigma, A, pref) with the integral written as
-    pref Integral exp(i (z.R_bil z0 + z0.Sigma z0 / 2) / hbar) F(z - A z0) dz0."""
-    j2 = standard_j(1)
-    eye = np.eye(2)
-    if form == "s1":
-        r_bil = j2
-        sigma = cayley(s)
-        a_mat = 0.5 * eye
-        pref = (1j ** (int(nu) % 4)) / math.sqrt(abs(det_si))
-    elif form == "alfa2":
-        r_bil = j2 @ (s.entries - eye)
-        js = j2 @ s.entries
-        sigma = -0.5 * (js + js.T)
-        a_mat = 0.5 * (s.entries - eye)
-        pref = (1j ** (int(nu) % 4)) * math.sqrt(abs(det_si))
-    elif form == "alfa1":
-        # literal composition Ttilde(S z0) Ttilde(-z0):
-        # -sigma(z, S z0) + sigma(z, z0) gives the bilinear part,
-        # -sigma(S z0, z0)/2 the quadratic part
-        r_bil = j2 @ s.entries - j2
-        js = j2 @ s.entries
-        sigma = -0.5 * (js + js.T)
-        a_mat = 0.5 * (s.entries - eye)
-        pref = (1j ** (int(nu) % 4)) * math.sqrt(abs(det_si))
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return r_bil, sigma, a_mat, pref / (2.0 * math.pi * hbar)
-
-
 def metaplectic_phase_apply(s: SymplecticMatrix, nu: int, F: PhaseFunction,
                             form: str = "s1",
-                            r_factor: float = config.R_FACTOR,
-                            det_floor: float = 1e-6) -> PhaseFunction:
+                            r_factor: float = config.R_FACTOR) -> PhaseFunction:
     """Apply the extended metaplectic operator of (S, nu) to F.
 
-    The selected integral form is reduced by the substitution
-    v = z - A z0 to a sum over the sample lattice of F, where the
-    integrand decays through F itself, so the truncation region is the
-    support box of F (the radial cutoff of the z0-form is redundant in
-    these coordinates: shifts outside r_factor times the support radius
+    The row of the table of integral forms named by ``form`` is reduced by
+    the substitution v = z - K u / 2 to a sum over the sample lattice of F,
+    where the integrand decays through F itself, so the truncation region
+    is the support box of F (the radial cutoff of the z0-form is redundant
+    in these coordinates: shifts outside r_factor times the support radius
     land outside the reachable output box, which is zero-filled).  The
     lattice is refined by trigonometric upsampling until it resolves the
     chirp and output bandwidths; the sheared Fourier sum is evaluated by
@@ -309,7 +274,9 @@ def metaplectic_phase_apply(s: SymplecticMatrix, nu: int, F: PhaseFunction,
         raise GridMismatchError("metaplectic_phase_apply supports n = 1 only")
     if s.n != 1:
         raise GridMismatchError("S must be 2x2 for one degree of freedom")
-    det_si = _checked_det_s_minus_i(s, det_floor)
+    if form not in ("s1", "alfa1", "alfa2"):
+        raise ValueError(f"unknown form {form!r}")
+    k_mat, sigma_mat, pref = _integral_form(s, nu, twisted=form != "s1")
     hbar = F.hbar
     grid = F.grid
     box = _support_box(F.values, pad=2)
@@ -320,14 +287,15 @@ def metaplectic_phase_apply(s: SymplecticMatrix, nu: int, F: PhaseFunction,
     xs = grid.x_axis()[i0:i1]
     ps = grid.p_axis()[k0:k1]
 
-    r_bil, sigma_mat, a_mat, pref = _phase_form_parameters(s, nu, det_si, hbar, form)
-    b_mat = np.linalg.inv(a_mat)
+    # Ttilde(K u) F(z) = exp(i z.(J K) u / hbar) F(z - K u / 2)
+    r_bil = standard_j(1) @ k_mat
+    b_mat = np.linalg.inv(0.5 * k_mat)
     c_mat = b_mat.T @ sigma_mat @ b_mat
     c_mat = 0.5 * (c_mat + c_mat.T)
     g_mat = -(r_bil @ b_mat + c_mat)
     rb = r_bil @ b_mat
     mz = c_mat + (rb + rb.T)
-    pref_full = pref * abs(np.linalg.det(b_mat))
+    pref_full = pref / (2.0 * math.pi * hbar) * abs(np.linalg.det(b_mat))
 
     # reachable output box: the left-slot transport is bounded by the top
     # singular value of S; beyond it the true values are tail

@@ -15,6 +15,8 @@ and det L != 0:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import config
@@ -264,14 +266,30 @@ def det_s_minus_i(w: GeneratingFunction) -> float:
     return float(sign / np.linalg.det(w.L) * np.linalg.det(w.hessian_xx()))
 
 
-def _checked_det_s_minus_i(s: SymplecticMatrix, det_floor: float) -> float:
-    """det(S - I), after checking that it clears ``det_floor``: the gate of
-    every phase-space integral form, whose prefactor is |det(S - I)|^{-+1/2}.
-    Raises SingularSMinusIError when |det(S - I)| <= det_floor."""
-    det_si = float(np.linalg.det(s.entries - np.eye(2 * s.n)))
-    if abs(det_si) <= det_floor:
-        raise SingularSMinusIError(f"|det(S - I)| = {abs(det_si):.3e} <= {det_floor:g}")
-    return det_si
+def _integral_form(s: SymplecticMatrix, nu: int, twisted: bool):
+    """(K, Sigma, pref): one row of the table of phase-space integral forms.
+
+    The extended operator of (S, nu), its configuration-space Bochner
+    realization and their small-hbar limit all integrate, up to the
+    (2 pi hbar)^{-n} factor, pref exp(i u.Sigma u / 2 hbar) times the shift
+    by z0 = K u over u.  There are two rows:
+
+        Cayley:  K = I,      Sigma = M_S,               pref = i^nu / sqrt|det(S - I)|
+        twisted: K = S - I,  Sigma = -(JS + (JS)^T)/2,  pref = i^nu sqrt|det(S - I)|
+
+    They are one integral: K^T M_S K is the twisted Sigma, i.e. the phase
+    -sigma(S u, u) / 2, and |det K| is the Jacobian of z0 = K u.  Both rows
+    share the gate |det(S - I)| > config.DET_FLOOR (SingularSMinusIError).
+    """
+    eye = np.eye(2 * s.n)
+    k_mat = s.entries - eye
+    det_si = float(np.linalg.det(k_mat))
+    if abs(det_si) <= config.DET_FLOOR:
+        raise SingularSMinusIError(f"|det(S - I)| = {abs(det_si):.3e} <= {config.DET_FLOOR:g}")
+    if not twisted:
+        return eye, cayley(s), (1j ** (int(nu) % 4)) / math.sqrt(abs(det_si))
+    js = standard_j(s.n) @ s.entries
+    return k_mat, -0.5 * (js + js.T), (1j ** (int(nu) % 4)) * math.sqrt(abs(det_si))
 
 
 def rotation(alpha: float, n: int = 1) -> SymplecticMatrix:

@@ -33,6 +33,7 @@ from metaplectic import (
     symplectic_form,
     SymplecticMatrix,
 )
+from metaplectic.symplectic import _integral_form
 
 
 def test_standard_j_squares_to_minus_identity():
@@ -210,6 +211,43 @@ def test_phase_space_integrals_reject_singular_s_minus_i(apply_identity):
     # S = I: every phase-space integral form divides by |det(S - I)|
     with pytest.raises(SingularSMinusIError):
         apply_identity(SymplecticMatrix(np.eye(2)))
+
+
+@pytest.mark.parametrize("route, names", [
+    (lambda form: bochner_apply(rotation(1.0), 0, _PHI0, form=form),
+     ("s4", "alfa1", "alfa2")),
+    (lambda form: metaplectic_phase_apply(rotation(1.0), 0,
+                                          cross_wigner(_PHI0, _PHI0), form=form),
+     ("s4", "s2", "s3")),
+], ids=["bochner_apply", "metaplectic_phase_apply"])
+def test_integral_form_routes_reject_unknown_form_names(route, names):
+    # each route names its own three forms; the other route's names are unknown
+    for form in names:
+        with pytest.raises(ValueError, match="unknown form"):
+            route(form)
+
+
+def test_integral_form_rows_are_one_integral():
+    # z0 = K u carries the Cayley row into the twisted row: K^T M_S K is the
+    # twisted chirp -(JS + (JS)^T)/2, and the Jacobian |det K| turns the
+    # Cayley prefactor into the twisted one
+    rng = np.random.default_rng(37)
+    checked = 0
+    while checked < 60:
+        n = 1 + checked % 2
+        s = random_symplectic(n, rng)
+        if abs(np.linalg.det(s.entries - np.eye(2 * n))) < 1e-3:
+            continue
+        nu = int(rng.integers(4))
+        eye, m_s, pref_c = _integral_form(s, nu, twisted=False)
+        k, sigma, pref_t = _integral_form(s, nu, twisted=True)
+        np.testing.assert_array_equal(eye, np.eye(2 * n))
+        np.testing.assert_array_equal(m_s, cayley(s))
+        np.testing.assert_array_equal(k, s.entries - np.eye(2 * n))
+        scale = max(1.0, float(np.max(np.abs(sigma))))
+        assert np.max(np.abs(k.T @ m_s @ k - sigma)) <= 1e-12 * scale
+        assert abs(abs(np.linalg.det(k)) * pref_c - pref_t) <= 1e-12 * abs(pref_t)
+        checked += 1
 
 
 def test_det_s_minus_i_matches_matrix_determinant():
