@@ -70,9 +70,9 @@ class QuadraticPhase:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.m + self.b
 
-    def critical_point(self, tol_eig: float = config.TOL_EIG) -> np.ndarray:
+    def critical_point(self) -> np.ndarray:
         eig = np.linalg.eigvalsh(self.m)
-        if np.min(np.abs(eig)) <= tol_eig:
+        if np.min(np.abs(eig)) <= config.TOL_EIG:
             raise DegeneratePhaseError("phase Hessian is numerically degenerate")
         return -np.linalg.solve(self.m, self.b)
 
@@ -96,10 +96,10 @@ def stationary_phase(phase: QuadraticPhase, amplitude, lam: float) -> complex:
 
 def oscillatory_quadrature(phase: QuadraticPhase, amplitude, lam: float,
                            radius: float, rel_tol: float = 1e-6,
-                           cutoff_fraction: float = config.CUTOFF_FRACTION,
                            max_doublings: int = 8) -> complex:
     """Direct trapezoid reference for Integral e^{i lam phi} a dx over
-    |x| <= radius with a radial raised-cosine cutoff.
+    |x| <= radius with a raised-cosine cutoff over its last 20 percent
+    (``config.CUTOFF_FRACTION``).
 
     The integrand is sampled once on an (n0+1)-point lattice per axis,
     n0 being 1.25 times the Nyquist count of the phase's largest frequency
@@ -124,7 +124,7 @@ def oscillatory_quadrature(phase: QuadraticPhase, amplitude, lam: float,
         if k == 1:
             vals = (np.asarray(amplitude(ax[:, None]), dtype=complex).reshape(-1)
                     * np.exp(1j * lam * phase.value(ax[:, None]))
-                    * _raised_cosine(np.abs(ax) / radius, cutoff_fraction))
+                    * _raised_cosine(np.abs(ax) / radius, config.CUTOFF_FRACTION))
             total = complex(np.sum(vals * w))
             witness = complex(np.sum(vals * w2))
         else:
@@ -135,7 +135,7 @@ def oscillatory_quadrature(phase: QuadraticPhase, amplitude, lam: float,
             # high resolution, so each chunk starts on a witness row
             m11, m12, m22 = phase.m[0, 0], phase.m[0, 1], phase.m[1, 1]
             b1, b2 = phase.b
-            cut1 = _raised_cosine(np.abs(ax) / radius, cutoff_fraction)
+            cut1 = _raised_cosine(np.abs(ax) / radius, config.CUTOFF_FRACTION)
             f1 = cut1 * np.exp(1j * lam * (0.5 * m11 * ax * ax + b1 * ax + phase.c))
             f2 = cut1 * np.exp(1j * lam * (0.5 * m22 * ax * ax + b2 * ax))
             e1, e2 = w * f1, w * f2

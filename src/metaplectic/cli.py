@@ -44,8 +44,8 @@ from .verify import _bump, report_text, run_suite, SUITES
 __all__ = ["main", "build_parser"]
 
 
-def _emit_json(obj: dict, path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _emit_text(text: str, path: str | None) -> None:
+    """Write text to the file at path, or to stdout when no path is given."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -75,7 +75,7 @@ def cmd_symplectic(args, cfg: RunConfig) -> int:
             out = {"value": float(np.linalg.det(s.entries - np.eye(2 * s.n)))}
         else:
             out = {"value": det_s_minus_i(generating_from_json(obj))}
-    _emit_json(out, args.output)
+    _emit_text(report_text(out), args.output)
     return 0
 
 
@@ -83,12 +83,12 @@ def cmd_indices(args, cfg: RunConfig) -> int:
     w = generating_from_json(_load_json(args.input))
     m = maslov_branch(w.L, args.branch)
     hess = w.hessian_xx()
-    _emit_json({
+    _emit_text(report_text({
         "m": m,
-        "nu": conley_zehnder(w, m, tol_eig=cfg.tol_eig),
-        "inertia": inertia(hess, tol_eig=cfg.tol_eig),
-        "signature": signature(hess, tol_eig=cfg.tol_eig),
-    }, args.output)
+        "nu": conley_zehnder(w, m),
+        "inertia": inertia(hess),
+        "signature": signature(hess),
+    }), args.output)
     return 0
 
 
@@ -107,8 +107,7 @@ def cmd_apply(args, cfg: RunConfig) -> int:
         f = MetaplecticWord(word).apply(f, method=args.method)
     else:  # bochner: factors act right-to-left, each through its own S, nu
         for (s, nu) in reversed(_word_nu_factors(word)):
-            f = bochner_apply(s, nu, f, r_factor=cfg.r_factor,
-                              cutoff_fraction=cfg.cutoff_fraction)
+            f = bochner_apply(s, nu, f)
     save_sampled(args.outfile, f)
     return 0
 
@@ -124,15 +123,14 @@ def cmd_phase_apply(args, cfg: RunConfig) -> int:
     word = word_from_json(_load_json(args.word))
     F = load_phase(args.infile)
     for (s, nu) in reversed(_word_nu_factors(word)):
-        F = metaplectic_phase_apply(s, nu, F, form=args.form,
-                                    r_factor=cfg.r_factor)
+        F = metaplectic_phase_apply(s, nu, F, form=args.form)
     save_phase(args.outfile, F)
     return 0
 
 
 def cmd_moyal(args, cfg: RunConfig) -> int:
     value = moyal_inner(load_phase(args.f), load_phase(args.g))
-    _emit_json({"re": value.real, "im": value.imag}, args.output)
+    _emit_text(report_text({"re": value.real, "im": value.imag}), args.output)
     return 0
 
 
@@ -146,8 +144,9 @@ def cmd_s0(args, cfg: RunConfig) -> int:
         window = load_sampled(args.window)
         window_id = os.path.basename(args.window)
     rep = s0_norm(psi, window, window_id=window_id)
-    _emit_json({"norm_value": rep.norm_value, "window_id": rep.window_id,
-                "truncation_estimate": rep.truncation_estimate}, args.output)
+    _emit_text(report_text({"norm_value": rep.norm_value, "window_id": rep.window_id,
+                            "truncation_estimate": rep.truncation_estimate}),
+               args.output)
     return 0
 
 
@@ -168,12 +167,7 @@ def cmd_asymptotic(args, cfg: RunConfig) -> int:
                                      support_radius=args.support_radius)
         lines.append(f"{hbar:.17g},{abs(res.leading):.17g},"
                      f"{abs(res.quadrature):.17g},{res.relative_error:.17g}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit_text("\n".join(lines) + "\n", args.output)
     return 0
 
 
@@ -202,13 +196,13 @@ def cmd_demo_rotation(args, cfg: RunConfig) -> int:
     save_sampled(os.path.join(args.outdir, "output.csv"), sf)
     save_phase(os.path.join(args.outdir, "wigner_input.csv"), wf)
     save_phase(os.path.join(args.outdir, "wigner_output.csv"), wsf)
-    _emit_json({
+    _emit_text(report_text({
         "alpha": alpha,
         "cayley_diagonal": 0.5 / math.tan(alpha / 2.0),
         "cayley_diagonal_computed": float(cayley(s)[0, 0]),
         "det_s_minus_i": float(np.linalg.det(s.entries - np.eye(2))),
         "wigner_covariance_error": cov_err,
-    }, os.path.join(args.outdir, "summary.json"))
+    }), os.path.join(args.outdir, "summary.json"))
     print(f"demo-rotation: wrote 5 files to {args.outdir} "
           f"(covariance error {cov_err:.2e})")
     return 0
@@ -216,12 +210,7 @@ def cmd_demo_rotation(args, cfg: RunConfig) -> int:
 
 def cmd_verify(args, cfg: RunConfig) -> int:
     report = run_suite(args.suite, cfg)
-    text = report_text(report)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit_text(report_text(report), args.output)
     return 0 if report["all_passed"] else 1
 
 
@@ -243,10 +232,6 @@ def _add_shared(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--hbar", type=float, default=d)
     parser.add_argument("--seed", type=int, default=d,
                         help="seed for randomized verify suites")
-    parser.add_argument("--r-factor", type=float, default=d,
-                        help="truncation radius over support radius")
-    parser.add_argument("--cutoff-fraction", type=float, default=d,
-                        help="raised-cosine roll-off fraction")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,8 +325,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         cfg = cfg.with_overrides(N=args.N, X=args.X, hbar=args.hbar,
-                                 seed=args.seed, r_factor=args.r_factor,
-                                 cutoff_fraction=args.cutoff_fraction)
+                                 seed=args.seed)
         return args.func(args, cfg)
     except NumericalDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 # Matrix-level tolerances.
 TOL_SYMP = 1e-10     # symplecticity / matrix identity residuals
-TOL_SING = 1e-12     # singularity gate for det(S - I), det(M - J/2)
+TOL_SING = 1e-12     # singularity gate: det(S - I), det(M - J/2), det B, sin(alpha)
 TOL_EIG = 1e-9       # eigenvalue cutoff when counting inertia
 DET_FLOOR = 1e-6     # gate on |det(S - I)| of the phase-space integral forms
 
@@ -29,7 +29,7 @@ DEFAULT_N = 512
 DEFAULT_X = 12.0
 DEFAULT_HBAR = 1.0
 
-# Phase-space truncation defaults.
+# Truncation of the phase-space quadratures (Bochner, Bopp, oscillatory).
 R_FACTOR = 3.0           # truncation radius = R_FACTOR * support radius
 CUTOFF_FRACTION = 0.2    # raised-cosine roll-off over the last 20 percent
 
@@ -38,15 +38,12 @@ ENV_CONFIG = "METAPLECTIC_CONFIG"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Bundle of grid, tolerance, and truncation settings for one run."""
+    """Grid and seed settings for one run."""
 
     N: int = DEFAULT_N
     X: float = DEFAULT_X
     hbar: float = DEFAULT_HBAR
     seed: int = 0
-    tol_eig: float = TOL_EIG
-    r_factor: float = R_FACTOR
-    cutoff_fraction: float = CUTOFF_FRACTION
 
     def with_overrides(self, **kwargs) -> "RunConfig":
         kwargs = {k: v for k, v in kwargs.items() if v is not None}

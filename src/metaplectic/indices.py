@@ -29,29 +29,29 @@ __all__ = [
 ]
 
 
-def _sym_eigvals(a: np.ndarray, tol_eig: float) -> np.ndarray:
+def _sym_eigvals(a: np.ndarray) -> np.ndarray:
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.shape[0] != a.shape[1]:
         raise DegenerateMatrixError(f"expected a square matrix, got {a.shape}")
     if np.max(np.abs(a - a.T)) > config.TOL_SYMP * max(1.0, np.max(np.abs(a))):
         raise DegenerateMatrixError("inertia is defined for symmetric matrices only")
     vals = np.linalg.eigvalsh(0.5 * (a + a.T))
-    if np.any(np.abs(vals) <= tol_eig):
+    if np.any(np.abs(vals) <= config.TOL_EIG):
         raise DegenerateMatrixError(
-            f"eigenvalue within {tol_eig:g} of zero; inertia is ill-defined"
+            f"eigenvalue within {config.TOL_EIG:g} of zero; inertia is ill-defined"
         )
     return vals
 
 
-def inertia(a: np.ndarray, tol_eig: float = config.TOL_EIG) -> int:
+def inertia(a: np.ndarray) -> int:
     """Number of negative eigenvalues of a nondegenerate symmetric matrix."""
-    return int(np.sum(_sym_eigvals(a, tol_eig) < 0.0))
+    return int(np.sum(_sym_eigvals(a) < 0.0))
 
 
-def signature(a: np.ndarray, tol_eig: float = config.TOL_EIG) -> int:
+def signature(a: np.ndarray) -> int:
     """Signature (positive minus negative eigenvalue count); always has the
     parity of the dimension."""
-    vals = _sym_eigvals(a, tol_eig)
+    vals = _sym_eigvals(a)
     return int(np.sum(vals > 0.0) - np.sum(vals < 0.0))
 
 
@@ -73,8 +73,7 @@ def maslov_branch(l: np.ndarray, branch: int) -> int:
     return m
 
 
-def maslov_compose(m1: int, m2: int, middle: np.ndarray,
-                   tol_eig: float = config.TOL_EIG) -> int:
+def maslov_compose(m1: int, m2: int, middle: np.ndarray) -> int:
     """Maslov index of a composed operator.
 
     For the product of the operators attached to (W1, m1) and (W2, m2),
@@ -82,19 +81,17 @@ def maslov_compose(m1: int, m2: int, middle: np.ndarray,
 
         m = m1 + m2 - Inert(P2 + Q1)  mod 4.
     """
-    return (int(m1) + int(m2) - inertia(middle, tol_eig)) % 4
+    return (int(m1) + int(m2) - inertia(middle)) % 4
 
 
-def conley_zehnder(w: GeneratingFunction, m: int,
-                   tol_eig: float = config.TOL_EIG) -> int:
+def conley_zehnder(w: GeneratingFunction, m: int) -> int:
     """Conley-Zehnder index nu = m - Inert(W_xx) mod 4."""
     m = maslov_branch(w.L, m)
-    return (m - inertia(w.hessian_xx(), tol_eig)) % 4
+    return (m - inertia(w.hessian_xx())) % 4
 
 
 def cz_compose(nu1: int, nu2: int, m1: np.ndarray, m2: np.ndarray,
-               convention: str = "half",
-               tol_eig: float = config.TOL_EIG) -> int:
+               convention: str = "half") -> int:
     """Conley-Zehnder index of a product from the Cayley transforms.
 
     With M1 = M_{S1}, M2 = M_{S2} (M1 + M2 nondegenerate):
@@ -106,7 +103,7 @@ def cz_compose(nu1: int, nu2: int, m1: np.ndarray, m2: np.ndarray,
     (and by the parity-operator symbol for the composition of two quarter
     rotations); "printed" is kept for comparison.
     """
-    sig = signature(np.asarray(m1) + np.asarray(m2), tol_eig)
+    sig = signature(np.asarray(m1) + np.asarray(m2))
     if convention == "half":
         if sig % 2:
             raise DegenerateMatrixError("signature of M1 + M2 is odd; cannot halve")
@@ -118,10 +115,9 @@ def cz_compose(nu1: int, nu2: int, m1: np.ndarray, m2: np.ndarray,
     return (int(nu1) + int(nu2) + corr) % 4
 
 
-def cz_sign_check(w: GeneratingFunction, m: int,
-                  tol_eig: float = config.TOL_EIG) -> bool:
+def cz_sign_check(w: GeneratingFunction, m: int) -> bool:
     """Verify sign(det(S_W - I)) = (-1)^(nu + n) for the pair (W, m)."""
-    nu = conley_zehnder(w, m, tol_eig)
+    nu = conley_zehnder(w, m)
     det = det_s_minus_i(w)
     if abs(det) <= config.TOL_SING:
         raise DegenerateMatrixError("det(S_W - I) is numerically zero")

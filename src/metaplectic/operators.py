@@ -27,7 +27,7 @@ import math
 import warnings
 
 import numpy as np
-from scipy.signal import czt
+from scipy.fft import fft, ifft, next_fast_len
 
 from . import config
 from .errors import (
@@ -72,20 +72,24 @@ def _fourier_sum_axis(values: np.ndarray, axis: int, x0: float, dx: float,
                       sign: int) -> np.ndarray:
     """Along one axis: out_t = sum_j values_j exp(sign i (p0 + t dp)(x0 + j dx) / hbar).
 
-    Exact to rounding for any uniform target lattice (Bluestein chirp-z),
-    cost O((N + n_out) log)."""
-    nsrc = values.shape[axis]
+    Exact to rounding for any uniform target lattice, cost O((N + n_out) log):
+    Bluestein's chirp z (Rabiner, Schafer & Rader 1969).  With
+    theta = sign dp dx / hbar, the identity j t = (j^2 + t^2 - (t - j)^2) / 2
+    turns the sum into one linear convolution with exp(-i theta k^2 / 2),
+    k = -(N - 1) .. n_out - 1, done by one zero-padded FFT."""
+    work = np.moveaxis(values, axis, -1)
+    nsrc = work.shape[-1]
+    theta = sign * dp * dx / hbar
     j = np.arange(nsrc)
     t = np.arange(n_out)
-    pre = np.exp(sign * 1j * p0 * dx * j / hbar)
-    post = np.exp(sign * 1j * (p0 * x0 + t * dp * x0) / hbar)
-    shape = [1] * values.ndim
-    shape[axis] = nsrc
-    work = values * pre.reshape(shape)
-    w = complex(np.exp(sign * 1j * dp * dx / hbar))
-    out = czt(work, m=n_out, w=w, a=1.0, axis=axis)
-    shape[axis] = n_out
-    return out * post.reshape(shape)
+    k = np.arange(1 - nsrc, n_out)
+    pre = np.exp(1j * (sign * p0 * dx / hbar * j + 0.5 * theta * (j * j)))
+    post = np.exp(1j * (sign * (p0 * x0 + t * dp * x0) / hbar + 0.5 * theta * (t * t)))
+    length = next_fast_len(nsrc + n_out - 1)
+    kernel = np.zeros(length, dtype=complex)
+    kernel[k % length] = np.exp(-0.5j * theta * (k * k))
+    conv = ifft(fft(work * pre, n=length, axis=-1) * fft(kernel), axis=-1)
+    return np.moveaxis(conv[..., :n_out] * post, -1, axis)
 
 
 # ----------------------------------------------------------------------
@@ -366,18 +370,16 @@ def factor_pair(s: SymplecticMatrix):
 # ----------------------------------------------------------------------
 # phase-space (Bochner) realization
 
-def support_radius(f: SampledFunction, rel_tol: float = config.TAIL_TOL) -> float:
-    """Half-width of the bounding box where |f| exceeds rel_tol * max|f|."""
-    box = _support_box(f.values, rel_tol)
+def support_radius(f: SampledFunction) -> float:
+    """Half-width of the bounding box where |f| exceeds config.TAIL_TOL * max|f|."""
+    box = _support_box(f.values)
     if box is None:
         return 0.0
     return _box_radius(box, [f.grid.axis()] * f.grid.n)
 
 
 def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
-                  form: str = "s1",
-                  r_factor: float = config.R_FACTOR,
-                  cutoff_fraction: float = config.CUTOFF_FRACTION) -> SampledFunction:
+                  form: str = "s1") -> SampledFunction:
     """Apply S to f through its phase-space (Bochner) integral
 
         (2 pi hbar)^{-n} pref Integral exp(i u.Sigma u / 2 hbar) T(K u) f du
@@ -387,11 +389,12 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
     M_S), "s2" and "s3" the twisted row (checks the Cayley identities).
     Every form sums over one z0 = K u lattice, with the Jacobian 1 / |det K|.
 
-    The lattice is truncated at |z0| <= R = r_factor * support_radius(f)
-    with a radial raised-cosine cutoff; x0 runs over exact grid multiples,
-    p0 over a Nyquist-resolved uniform lattice.  One degree of freedom
-    only.  Independent of the (W, m) data: uses (S, nu) and the Cayley
-    transform, which is what makes it an oracle for the index laws.
+    The lattice is truncated at |z0| <= R = 3 support_radius(f)
+    (``config.R_FACTOR``) with a radial raised-cosine roll-off over the
+    last 20 percent (``config.CUTOFF_FRACTION``); x0 runs over exact grid
+    multiples, p0 over a Nyquist-resolved uniform lattice.  One degree of
+    freedom only.  Independent of the (W, m) data: uses (S, nu) and the
+    Cayley transform, which is what makes it an oracle for the index laws.
     """
     if f.grid.n != 1:
         raise GridMismatchError("bochner_apply supports n = 1 only")
@@ -408,7 +411,7 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
     if r_f == 0.0:
         return f.with_values(np.zeros_like(f.values))
     # shifts beyond X + r_f move the support off the grid entirely
-    radius = min(r_factor * r_f, grid.X + r_f)
+    radius = min(config.R_FACTOR * r_f, grid.X + r_f)
     k_max = int(math.floor(radius / dx))
     x0 = np.arange(-k_max, k_max + 1) * dx
 
@@ -421,7 +424,7 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
     p0 = np.arange(-j_max, j_max + 1) * dp0
 
     xx, pp = np.meshgrid(x0, p0, indexing="ij")
-    chi = _raised_cosine(np.hypot(xx, pp) / radius, cutoff_fraction)
+    chi = _raised_cosine(np.hypot(xx, pp) / radius, config.CUTOFF_FRACTION)
 
     # u.Sigma u / 2 at u = K^{-1} z0, and the shift phase of T(z0)
     ux = kinv[0, 0] * xx + kinv[0, 1] * pp

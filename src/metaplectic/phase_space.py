@@ -256,16 +256,15 @@ _MAX_WORK_POINTS = 8_000_000
 
 
 def metaplectic_phase_apply(s: SymplecticMatrix, nu: int, F: PhaseFunction,
-                            form: str = "s1",
-                            r_factor: float = config.R_FACTOR) -> PhaseFunction:
+                            form: str = "s1") -> PhaseFunction:
     """Apply the extended metaplectic operator of (S, nu) to F.
 
     The row of the table of integral forms named by ``form`` is reduced by
     the substitution v = z - K u / 2 to a sum over the sample lattice of F,
     where the integrand decays through F itself, so the truncation region
     is the support box of F (the radial cutoff of the z0-form is redundant
-    in these coordinates: shifts outside r_factor times the support radius
-    land outside the reachable output box, which is zero-filled).  The
+    in these coordinates: shifts outside config.R_FACTOR times the support
+    radius land outside the reachable output box, which is zero-filled).  The
     lattice is refined by trigonometric upsampling until it resolves the
     chirp and output bandwidths; the sheared Fourier sum is evaluated by
     a type-2 nonuniform FFT.
@@ -300,7 +299,7 @@ def metaplectic_phase_apply(s: SymplecticMatrix, nu: int, F: PhaseFunction,
     # reachable output box: the left-slot transport is bounded by the top
     # singular value of S; beyond it the true values are tail
     sig_max = float(np.linalg.svd(s.entries, compute_uv=False)[0])
-    r_out = 1.15 * sig_max * r_supp + 3.0 * math.sqrt(hbar) * max(1.0, r_factor / 3.0)
+    r_out = 1.15 * sig_max * r_supp + 3.0 * math.sqrt(hbar)
     xo = grid.x_axis()
     po = grid.p_axis()
     ox = np.nonzero(np.abs(xo) <= r_out)[0]
@@ -354,7 +353,7 @@ def metaplectic_phase_apply(s: SymplecticMatrix, nu: int, F: PhaseFunction,
     if _edge_ratio(block) > 1e-6 and (ox[0] > 0 or op[0] > 0):
         warnings.warn(
             "output mass reaches the reachable-box boundary; "
-            "increase r_factor or the grid extent",
+            "increase the grid extent",
             BandwidthExceededWarning,
             stacklevel=2,
         )
@@ -364,16 +363,15 @@ def metaplectic_phase_apply(s: SymplecticMatrix, nu: int, F: PhaseFunction,
 # ----------------------------------------------------------------------
 # Bopp operators
 
-def bopp_apply(a_sigma, F: PhaseFunction,
-               r_factor: float = config.R_FACTOR,
-               cutoff_fraction: float = config.CUTOFF_FRACTION) -> PhaseFunction:
+def bopp_apply(a_sigma, F: PhaseFunction) -> PhaseFunction:
     """Bopp operator with twisted symbol a_sigma:
     A F = (2 pi hbar)^{-n} Integral a_sigma(z0) Ttilde(z0) F dz0.
 
     a_sigma is a callable (z_x array, z_p array) -> complex array.  The
     z0 lattice is the even sublattice (2 dx, 2 dp), so every half-shift
-    is an exact index move; truncation at R = r_factor * support radius
-    with a radial raised-cosine roll-off.  The symbol must have decayed
+    is an exact index move; truncation at R = 3 times the support radius
+    (``config.R_FACTOR``) with a radial raised-cosine roll-off over the last
+    20 percent (``config.CUTOFF_FRACTION``).  The symbol must have decayed
     at the truncation ring, else the quadrature is meaningless.
 
     The sum over shifts (a, b) is a twisted convolution.  Its row-dependent
@@ -391,7 +389,7 @@ def bopp_apply(a_sigma, F: PhaseFunction,
     if box is None:
         return F.with_values(np.zeros_like(F.values))
     r_supp = _box_radius(box, [grid.x_axis(), grid.p_axis()])
-    radius = r_factor * max(r_supp, grid.dx)
+    radius = config.R_FACTOR * max(r_supp, grid.dx)
 
     step_x = 2.0 * grid.dx
     step_p = 2.0 * grid.dp
@@ -412,7 +410,7 @@ def bopp_apply(a_sigma, F: PhaseFunction,
             "twisted symbol has not decayed at the truncation radius"
         )
 
-    chi = _raised_cosine(rr, cutoff_fraction)
+    chi = _raised_cosine(rr, config.CUTOFF_FRACTION)
     weights = a_vals * chi * (step_x * step_p) / (2.0 * math.pi * hbar)
     keep = np.abs(weights) > 1e-14 * max(peak, 1e-300)
     weights = np.where(keep, weights, 0.0)

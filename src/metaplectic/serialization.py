@@ -113,10 +113,13 @@ def save_sampled(path: str, f: SampledFunction) -> None:
 def load_sampled(path: str) -> SampledFunction:
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
-        grid = Grid(n=int(header["n"]), N=int(header["N"]), X=float(header["X"]))
+        try:
+            grid = Grid(n=int(header["n"]), N=int(header["N"]), X=float(header["X"]))
+            hbar = float(header["hbar"])
+        except KeyError as exc:
+            raise ValueError(f"sampled-function header is missing key {exc}") from exc
         flat = _read_payload(fh, grid.N ** grid.n)
-    return SampledFunction(grid, float(header["hbar"]),
-                           flat.reshape(grid.shape()), check_tails=False)
+    return SampledFunction(grid, hbar, flat.reshape(grid.shape()), check_tails=False)
 
 
 def save_phase(path: str, F: PhaseFunction) -> None:
@@ -131,9 +134,12 @@ def save_phase(path: str, F: PhaseFunction) -> None:
 def load_phase(path: str) -> PhaseFunction:
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
-        grid = PhaseGrid(n=int(header["n"]), N=int(header["N"]),
-                         X=float(header["X"]), N_p=int(header["N_p"]),
-                         P_max=float(header["P_max"]))
+        try:
+            grid = PhaseGrid(n=int(header["n"]), N=int(header["N"]),
+                             X=float(header["X"]), N_p=int(header["N_p"]),
+                             P_max=float(header["P_max"]))
+            hbar = float(header["hbar"])
+        except KeyError as exc:
+            raise ValueError(f"phase-function header is missing key {exc}") from exc
         flat = _read_payload(fh, grid.N * grid.N_p)
-    return PhaseFunction(grid, float(header["hbar"]),
-                         flat.reshape(grid.shape()))
+    return PhaseFunction(grid, hbar, flat.reshape(grid.shape()))

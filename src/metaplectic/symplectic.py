@@ -65,14 +65,14 @@ def symplectic_form(z1: np.ndarray, z2: np.ndarray) -> float:
     return float(z1[n:] @ z2[:n] - z1[:n] @ z2[n:])
 
 
-def is_symplectic(entries: np.ndarray, tol: float = config.TOL_SYMP) -> bool:
-    """Check S^T J S = J entrywise within tol."""
+def is_symplectic(entries: np.ndarray) -> bool:
+    """Check S^T J S = J entrywise within config.TOL_SYMP."""
     entries = np.asarray(entries, dtype=float)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] % 2:
         return False
     n = entries.shape[0] // 2
     jmat = standard_j(n)
-    return bool(np.max(np.abs(entries.T @ jmat @ entries - jmat)) <= tol)
+    return bool(np.max(np.abs(entries.T @ jmat @ entries - jmat)) <= config.TOL_SYMP)
 
 
 class SymplecticMatrix:
@@ -81,22 +81,21 @@ class SymplecticMatrix:
     Parameters
     ----------
     entries : (2n, 2n) array_like
-        Real matrix satisfying S^T J S = J within ``tol``.
-    tol : float
-        Symplecticity tolerance used at construction.
+        Real matrix satisfying S^T J S = J within ``config.TOL_SYMP``.
     """
 
     __slots__ = ("n", "entries")
 
-    def __init__(self, entries: np.ndarray, tol: float = config.TOL_SYMP):
+    def __init__(self, entries: np.ndarray):
         entries = np.array(entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1] or entries.shape[0] % 2:
             raise DegenerateMatrixError(f"expected a square even-dimension matrix, got {entries.shape}")
-        if not is_symplectic(entries, tol):
+        if not is_symplectic(entries):
             n = entries.shape[0] // 2
             jmat = standard_j(n)
             resid = np.max(np.abs(entries.T @ jmat @ entries - jmat))
-            raise DegenerateMatrixError(f"matrix is not symplectic: |S^T J S - J| = {resid:.3e} > {tol:g}")
+            raise DegenerateMatrixError(
+                f"matrix is not symplectic: |S^T J S - J| = {resid:.3e} > {config.TOL_SYMP:g}")
         self.n = entries.shape[0] // 2
         self.entries = entries
         self.entries.setflags(write=False)
@@ -142,7 +141,7 @@ class GeneratingFunction:
 
     __slots__ = ("n", "P", "L", "Q")
 
-    def __init__(self, P, L, Q, tol: float = config.TOL_SYMP):
+    def __init__(self, P, L, Q):
         P = np.atleast_2d(np.array(P, dtype=float))
         L = np.atleast_2d(np.array(L, dtype=float))
         Q = np.atleast_2d(np.array(Q, dtype=float))
@@ -151,8 +150,9 @@ class GeneratingFunction:
             if mat.shape != (n, n):
                 raise DegenerateMatrixError(f"{name} must be {n}x{n}, got {mat.shape}")
         for name, mat in (("P", P), ("Q", Q)):
-            if np.max(np.abs(mat - mat.T)) > tol:
-                raise DegenerateMatrixError(f"{name} must be symmetric within {tol:g}")
+            if np.max(np.abs(mat - mat.T)) > config.TOL_SYMP:
+                raise DegenerateMatrixError(
+                    f"{name} must be symmetric within {config.TOL_SYMP:g}")
         if abs(np.linalg.det(L)) <= config.TOL_SING:
             raise DegenerateMatrixError("L must be invertible")
         self.n = n
@@ -199,20 +199,21 @@ def free_from_generating(w: GeneratingFunction) -> SymplecticMatrix:
     return SymplecticMatrix(np.block([[a, b], [c, d]]))
 
 
-def generating_from_free(s: SymplecticMatrix, tol: float = config.TOL_SING) -> GeneratingFunction:
+def generating_from_free(s: SymplecticMatrix) -> GeneratingFunction:
     """Generating function of a free symplectic matrix.
 
     P = D B^{-1}, L = B^{-1}, Q = B^{-1} A.  Raises NotFreeError when the
     upper-right block is numerically singular.
     """
-    if abs(np.linalg.det(s.b)) <= tol:
-        raise NotFreeError(f"upper-right block has |det| <= {tol:g}; matrix is not free")
+    if not is_free(s):
+        raise NotFreeError(
+            f"upper-right block has |det| <= {config.TOL_SING:g}; matrix is not free")
     binv = np.linalg.inv(s.b)
     return GeneratingFunction(s.d @ binv, binv, binv @ s.a)
 
 
-def is_free(s: SymplecticMatrix, tol: float = config.TOL_SING) -> bool:
-    return abs(np.linalg.det(s.b)) > tol
+def is_free(s: SymplecticMatrix) -> bool:
+    return abs(np.linalg.det(s.b)) > config.TOL_SING
 
 
 def chirp_matrix(p: np.ndarray) -> SymplecticMatrix:
@@ -231,16 +232,16 @@ def scaling_matrix(l: np.ndarray) -> SymplecticMatrix:
     )
 
 
-def cayley(s: SymplecticMatrix, tol: float = config.TOL_SING) -> np.ndarray:
+def cayley(s: SymplecticMatrix) -> np.ndarray:
     """Symplectic Cayley transform M_S = (1/2) J (S + I)(S - I)^{-1}.
 
     Returns the symmetric matrix M_S; equals (1/2) J + J (S - I)^{-1}.
-    Raises SingularSMinusIError when det(S - I) is below ``tol``.
+    Raises SingularSMinusIError when |det(S - I)| <= config.TOL_SING.
     """
     two_n = 2 * s.n
     smi = s.entries - np.eye(two_n)
-    if abs(np.linalg.det(smi)) <= tol:
-        raise SingularSMinusIError(f"|det(S - I)| <= {tol:g}")
+    if abs(np.linalg.det(smi)) <= config.TOL_SING:
+        raise SingularSMinusIError(f"|det(S - I)| <= {config.TOL_SING:g}")
     jmat = standard_j(s.n)
     m = 0.5 * jmat + jmat @ np.linalg.inv(smi)
     asym = np.max(np.abs(m - m.T))
@@ -249,14 +250,14 @@ def cayley(s: SymplecticMatrix, tol: float = config.TOL_SING) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def cayley_inverse(m: np.ndarray, tol: float = config.TOL_SING) -> SymplecticMatrix:
+def cayley_inverse(m: np.ndarray) -> SymplecticMatrix:
     """Recover S from M_S: S = (M - J/2)^{-1} (M + J/2)."""
     m = np.asarray(m, dtype=float)
     two_n = m.shape[0]
     jmat = standard_j(two_n // 2)
     lower = m - 0.5 * jmat
-    if abs(np.linalg.det(lower)) <= tol:
-        raise SingularMMinusHalfJError(f"|det(M - J/2)| <= {tol:g}")
+    if abs(np.linalg.det(lower)) <= config.TOL_SING:
+        raise SingularMMinusHalfJError(f"|det(M - J/2)| <= {config.TOL_SING:g}")
     return SymplecticMatrix(np.linalg.inv(lower) @ (m + 0.5 * jmat))
 
 
@@ -302,43 +303,42 @@ def rotation(alpha: float, n: int = 1) -> SymplecticMatrix:
     )
 
 
-def rotation_generating(alpha: float, n: int = 1, tol: float = 1e-12) -> GeneratingFunction:
+def rotation_generating(alpha: float, n: int = 1) -> GeneratingFunction:
     """Generating function of the rotation: P = Q = cot(a) I, L = I / sin(a).
 
     Undefined at integer multiples of pi (SingularAngleError).
     """
     s = np.sin(alpha)
-    if abs(s) <= tol:
-        raise SingularAngleError(f"rotation angle {alpha!r} is within {tol:g} of a multiple of pi")
+    if abs(s) <= config.TOL_SING:
+        raise SingularAngleError(
+            f"rotation angle {alpha!r} is within {config.TOL_SING:g} of a multiple of pi")
     c = np.cos(alpha) / s
     eye = np.eye(n)
     return GeneratingFunction(c * eye, eye / s, c * eye)
 
 
-def _random_symmetric(n: int, rng: np.random.Generator, scale: float) -> np.ndarray:
-    m = rng.uniform(-scale, scale, size=(n, n))
+def _random_symmetric(n: int, rng: np.random.Generator) -> np.ndarray:
+    m = rng.uniform(-2.0, 2.0, size=(n, n))
     return 0.5 * (m + m.T)
 
 
 def random_free_generating(
     n: int,
     rng: np.random.Generator,
-    pq_scale: float = 2.0,
-    l_pert: float = 0.5,
     max_singular: float | None = None,
     min_det_l: float = 0.5,
 ) -> GeneratingFunction:
     """Draw a random free generating function.
 
-    P, Q have entries uniform in [-pq_scale, pq_scale]; L = I + U with U
-    uniform in [-l_pert, l_pert] and |det L| >= min_det_l.  When
-    ``max_singular`` is given, rejection-sample until the largest singular
-    value of S_W stays below it (keeps transported supports on the grid).
+    P, Q have entries uniform in [-2, 2]; L = I + U with U uniform in
+    [-0.5, 0.5] and |det L| >= min_det_l.  When ``max_singular`` is given,
+    rejection-sample until the largest singular value of S_W stays below it
+    (keeps transported supports on the grid).
     """
     for _ in range(1000):
-        p = _random_symmetric(n, rng, pq_scale)
-        q = _random_symmetric(n, rng, pq_scale)
-        l = np.eye(n) + rng.uniform(-l_pert, l_pert, size=(n, n))
+        p = _random_symmetric(n, rng)
+        q = _random_symmetric(n, rng)
+        l = np.eye(n) + rng.uniform(-0.5, 0.5, size=(n, n))
         if abs(np.linalg.det(l)) < min_det_l:
             continue
         w = GeneratingFunction(p, l, q)
@@ -350,10 +350,8 @@ def random_free_generating(
     raise DegenerateMatrixError("could not draw an admissible generating function")
 
 
-def random_symplectic(n: int, rng: np.random.Generator, n_factors: int = 2) -> SymplecticMatrix:
-    """Random element of Sp(n): a product of free matrices from random
+def random_symplectic(n: int, rng: np.random.Generator) -> SymplecticMatrix:
+    """Random element of Sp(n): the product of two free matrices from random
     generating functions (symplectic by construction)."""
-    s = free_from_generating(random_free_generating(n, rng))
-    for _ in range(n_factors - 1):
-        s = s @ free_from_generating(random_free_generating(n, rng))
-    return s
+    return (free_from_generating(random_free_generating(n, rng))
+            @ free_from_generating(random_free_generating(n, rng)))

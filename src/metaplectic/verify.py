@@ -45,12 +45,10 @@ def _check(name: str, measured: float, tolerance: float) -> dict:
             "passed": bool(measured <= tolerance)}
 
 
-def _gated_symplectic(rng: np.random.Generator, n: int = 1,
-                      det_floor: float = 1e-3) -> SymplecticMatrix:
+def _gated_symplectic(rng: np.random.Generator, n: int = 1) -> SymplecticMatrix:
     while True:
         s = random_symplectic(n, rng)
-        two_n = 2 * n
-        if abs(np.linalg.det(s.entries - np.eye(two_n))) > det_floor:
+        if abs(np.linalg.det(s.entries - np.eye(2 * n))) > 1e-3:
             return s
 
 
@@ -248,9 +246,7 @@ def suite_operators(cfg: RunConfig, rng: np.random.Generator) -> list:
 
     s_rot = rotation(math.pi / 2)
     nu = conley_zehnder(rotation_generating(math.pi / 2), 0)
-    boch = bochner_apply(s_rot, nu, phi0,
-                         r_factor=cfg.r_factor,
-                         cutoff_fraction=cfg.cutoff_fraction)
+    boch = bochner_apply(s_rot, nu, phi0)
     fact = qfio_apply(rotation_generating(math.pi / 2), 0, phi0)
     checks.append(_check("operators.bochner_vs_factored", _rel(
         boch.values, fact.values), config.BOCHNER_TOL))
@@ -307,12 +303,11 @@ def suite_phase(cfg: RunConfig, rng: np.random.Generator) -> list:
     s = _gated_phase_symplectic(rng)
     nu = _nu_of(s)
     f01 = cross_wigner(phi0, h1)
-    out = metaplectic_phase_apply(s, nu, f01, r_factor=cfg.r_factor)
+    out = metaplectic_phase_apply(s, nu, f01)
     checks.append(_check("phase.unitarity",
                          abs(out.norm() - f01.norm()) / f01.norm(), 1e-4))
 
-    out_a2 = metaplectic_phase_apply(s, nu, f01, form="alfa2",
-                                     r_factor=cfg.r_factor)
+    out_a2 = metaplectic_phase_apply(s, nu, f01, form="alfa2")
     checks.append(_check("phase.forms_s1_alfa2", _rel(
         out_a2.values, out.values), 1e-5))
 
@@ -327,8 +322,7 @@ def suite_phase(cfg: RunConfig, rng: np.random.Generator) -> list:
     w_rot = rotation_generating(math.pi / 2)
     nu_rot = conley_zehnder(w_rot, 0)
     lhs2 = metaplectic_phase_apply(rotation(math.pi / 2), nu_rot,
-                                   cross_wigner(phi0, h1),
-                                   r_factor=cfg.r_factor)
+                                   cross_wigner(phi0, h1))
     rhs2 = cross_wigner(qfio_apply(w_rot, 0, phi0), h1)
     checks.append(_check("phase.intertwine_metaplectic",
                          _rel(lhs2.values, rhs2.values), 1e-4))

@@ -219,21 +219,42 @@ def test_config_file_and_flag_precedence(workdir, capsys, monkeypatch):
     assert main(["--N", "128", "verify", "--suite", "core"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["grid"]["N"] == 128
+    # the truncation radius is fixed in code, so its old flag is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["--r-factor", "4", "verify", "--suite", "core"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
-def test_config_file_cannot_loosen_verify_tolerances(workdir, capsys):
-    # verify tolerances are fixed in code, so a config key naming one is
-    # rejected as unknown instead of turning a failing check into a pass
+@pytest.mark.parametrize("key", ["bochner_tol", "tol_eig", "r_factor",
+                                 "cutoff_fraction"])
+def test_config_file_cannot_loosen_verify_tolerances(workdir, capsys, key):
+    # verify tolerances and the eigenvalue and truncation settings are fixed
+    # in code, so a config key naming one is rejected as unknown instead of
+    # turning a failing check into a pass
     cfile = workdir / "loose.txt"
-    cfile.write_text("bochner_tol = 1\n")
+    cfile.write_text(f"{key} = 1\n")
     assert main(["--config", str(cfile), "verify", "--suite", "operators"]) == 2
-    assert "unknown key 'bochner_tol'" in capsys.readouterr().err
+    assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_exit_code_numerical_domain(workdir, capsys):
     rc = main(["asymptotic", "--alpha", "0.0", "--hbar-list", "0.1",
                "--z", "0,0"])
     assert rc == 3
+
+
+def test_header_missing_key_is_a_usage_error(workdir, capsys):
+    # exit 2 (bad input), not a KeyError traceback with exit 1 (failed verify)
+    for name, cmd in (("f.csv", ["wigner", "--out", str(workdir / "W.csv"), "--f"]),
+                      ("F.csv", ["moyal", "--g", str(workdir / "F.csv"), "--f"])):
+        lines = (workdir / name).read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        del header["hbar"]
+        bad = workdir / f"nohbar_{name}"
+        bad.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        assert main(cmd + [str(bad)]) == 2
+        assert "header is missing key 'hbar'" in capsys.readouterr().err
 
 
 def test_exit_code_bad_file(workdir):

@@ -2,6 +2,10 @@
 Heisenberg-Weyl shifts, and the phase-space (Bochner) realization."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from metaplectic import (
     scale_op,
     support_radius,
 )
+from metaplectic.operators import _fourier_sum_axis
 
 HBAR = 1.0
 
@@ -195,6 +200,40 @@ def test_fractional_rotation_additivity(grid, phi0):
         rhs = qfio_apply(wg, m_base, f)
         assert m_base == m_comp
         np.testing.assert_allclose(lhs.values, rhs.values, atol=1e-6)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_fourier_sum_axis_matches_dense_sum(sign, axis):
+    # Bluestein chirp z against the dense O(N n_out) sum, on a target
+    # lattice of another length and spacing than the source, hbar != 1
+    rng = np.random.default_rng([sign + 1, axis])
+    n_src, n_out, hbar = 512, 384, 0.7
+    x0, dx = -12.0, 24.0 / n_src
+    dp = 1.3 * dx
+    p0 = -0.6 * n_out * dp
+    shape = [6, 6]
+    shape[axis] = n_src
+    vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    out = _fourier_sum_axis(vals, axis, x0, dx, p0, dp, n_out, hbar, sign)
+    xs = x0 + dx * np.arange(n_src)
+    ps = p0 + dp * np.arange(n_out)
+    kern = np.exp(sign * 1j * np.multiply.outer(ps, xs) / hbar)
+    ref = np.moveaxis(np.tensordot(kern, vals, axes=([1], [axis])), 0, axis)
+    assert out.shape == ref.shape
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, metaplectic; print('scipy.signal' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_support_radius_gaussian(grid, phi0):
