@@ -70,7 +70,7 @@ def cmd_symplectic(args, cfg: RunConfig) -> int:
     elif args.op == "cayley-inverse":
         out = matrix_to_json(cayley_inverse(matrix_from_json(obj)).entries)
     else:  # det-s-minus-i: accepts a matrix or a generating function
-        if "entries" in obj:
+        if isinstance(obj, dict) and "entries" in obj:
             s = SymplecticMatrix(matrix_from_json(obj))
             out = {"value": float(np.linalg.det(s.entries - np.eye(2 * s.n)))}
         else:

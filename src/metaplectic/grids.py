@@ -1,4 +1,4 @@
-"""Centered sampling grids and square-integrable sampled functions.
+"""Centered lattices for both spaces, and square-integrable sampled functions.
 
 Axis convention: x_j = (j - N/2) dx with dx = 2X/N, j = 0..N-1, so the
 center sample x_{N/2} is exactly 0 and the grid covers [-X, X).  N must be
@@ -7,6 +7,7 @@ a power of two, at least 8.  The hbar-dual axis has spacing pi hbar / X.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -15,7 +16,7 @@ from scipy.ndimage import map_coordinates
 from scipy.special import eval_hermite
 
 from . import config
-from .errors import GridMismatchError
+from .errors import BandwidthExceededWarning, GridMismatchError
 
 __all__ = [
     "Grid",
@@ -27,57 +28,76 @@ __all__ = [
 ]
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+class _Lattice:
+    """Uniform centered lattice: per-axis point counts ``sizes`` and
+    half-widths ``widths``; sample j of axis k sits at (j - sizes[k]//2)
+    steps[k] with steps[k] = 2 widths[k] / sizes[k].  ``n`` is the number
+    of degrees of freedom, which need not be the number of axes."""
+
+    __slots__ = ("n", "sizes", "widths")
+
+    def __init__(self, n: int, sizes, widths):
+        self.n = int(n)
+        self.sizes = tuple(int(s) for s in sizes)
+        self.widths = tuple(float(w) for w in widths)
+
+    @property
+    def steps(self) -> tuple[float, ...]:
+        return tuple(2.0 * w / s for s, w in zip(self.sizes, self.widths))
+
+    def axes(self) -> list[np.ndarray]:
+        """Sample points along each axis; the center sample is exactly 0."""
+        return [(np.arange(s) - s // 2) * h for s, h in zip(self.sizes, self.steps)]
+
+    def meshgrid(self) -> list[np.ndarray]:
+        return list(np.meshgrid(*self.axes(), indexing="ij"))
+
+    def shape(self) -> tuple[int, ...]:
+        return self.sizes
+
+    def cell_volume(self) -> float:
+        return math.prod(self.steps)
+
+    def trapezoid_weights(self) -> np.ndarray:
+        """Product trapezoid weights (boundary samples half-weighted)."""
+        return functools.reduce(np.multiply.outer, [
+            _trapezoid(s, h) for s, h in zip(self.sizes, self.steps)])
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and (self.n, self.sizes) == (other.n, other.sizes)
+                and all(math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+                        for a, b in zip(self.widths, other.widths)))
+
+    def __hash__(self):
+        # widths are left out: equality compares them only to rel 1e-12
+        return hash((type(self), self.n, self.sizes))
 
 
-class Grid:
+class Grid(_Lattice):
     """Uniform centered grid on [-X, X)^n."""
 
-    __slots__ = ("n", "N", "X")
+    __slots__ = ()
 
     def __init__(self, n: int, N: int, X: float):
         if n not in (1, 2):
             raise GridMismatchError(f"spatial dimension must be 1 or 2, got {n}")
-        if not _is_pow2(N) or N < 8:
+        if N < 8 or N & (N - 1):
             raise GridMismatchError(f"N must be a power of two >= 8, got {N}")
         if not X > 0:
             raise GridMismatchError(f"half-width must be positive, got {X}")
-        self.n = int(n)
-        self.N = int(N)
-        self.X = float(X)
+        super().__init__(n, (N,) * n, (X,) * n)
 
-    @property
-    def dx(self) -> float:
-        return 2.0 * self.X / self.N
+    N = property(lambda self: self.sizes[0])
+    X = property(lambda self: self.widths[0])
+    dx = property(lambda self: self.steps[0])
 
     def axis(self) -> np.ndarray:
         """Sample points along one axis; axis()[N/2] == 0 exactly."""
-        return (np.arange(self.N) - self.N // 2) * self.dx
-
-    def meshgrid(self) -> list[np.ndarray]:
-        return list(np.meshgrid(*([self.axis()] * self.n), indexing="ij"))
-
-    def shape(self) -> tuple[int, ...]:
-        return (self.N,) * self.n
-
-    def cell_volume(self) -> float:
-        return self.dx ** self.n
+        return self.axes()[0]
 
     def dual(self, hbar: float) -> "Grid":
         """hbar-Fourier dual grid: spacing pi hbar / X, same point count."""
         return Grid(self.n, self.N, math.pi * hbar * self.N / (2.0 * self.X))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Grid)
-            and self.n == other.n
-            and self.N == other.N
-            and math.isclose(self.X, other.X, rel_tol=1e-12, abs_tol=0.0)
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.N, round(self.X, 12)))
 
     def __repr__(self) -> str:
         return f"Grid(n={self.n}, N={self.N}, X={self.X:g})"
@@ -114,13 +134,7 @@ class SampledFunction:
         self.hbar = float(hbar)
         self.values = values
         if check_tails:
-            edge = _edge_ratio(values)
-            if edge > config.TAIL_TOL:
-                warnings.warn(
-                    f"function reaches the grid edge: relative tail {edge:.2e} "
-                    f"> {config.TAIL_TOL:g}; results may lose accuracy",
-                    stacklevel=2,
-                )
+            _warn_at_edge(values, "function reaches the grid edge")
 
     def with_values(self, values: np.ndarray) -> "SampledFunction":
         return SampledFunction(self.grid, self.hbar, values, check_tails=False)
@@ -179,19 +193,29 @@ def hermite_function(k: int, grid: Grid, hbar: float) -> SampledFunction:
     return SampledFunction(grid, hbar, vals.astype(complex))
 
 
-def interpolate_values(values: np.ndarray, grid: Grid,
+def interpolate_values(values: np.ndarray, grid: _Lattice,
                        points: list[np.ndarray]) -> np.ndarray:
     """Cubic-spline interpolation of sampled values at arbitrary points.
 
-    ``points`` is a list of n coordinate arrays (broadcast to a common
-    shape).  Points outside the grid evaluate to 0 (the tails).
+    ``points`` is a list of coordinate arrays, one per lattice axis
+    (broadcast to a common shape).  Points outside the lattice evaluate to
+    0 (the tails).
     """
     shape = np.broadcast(*points).shape if len(points) > 1 else np.asarray(points[0]).shape
-    coords = []
-    for ax_pts in points:
-        idx = np.broadcast_to(np.asarray(ax_pts, dtype=float), shape) / grid.dx + grid.N // 2
-        coords.append(idx)
+    coords = [np.broadcast_to(np.asarray(pts, dtype=float), shape) / step + size // 2
+              for pts, step, size in zip(points, grid.steps, grid.sizes)]
     return _cubic_at(values, np.stack(coords))
+
+
+def _translate(values: np.ndarray, grid: _Lattice, shift) -> np.ndarray:
+    """Samples of z -> values(z - shift), zero-filled: an exact index move
+    when every component of ``shift`` is within 1e-9 of a whole cell,
+    cubic interpolation otherwise."""
+    cells = np.asarray(shift, dtype=float) / np.asarray(grid.steps)
+    whole = np.rint(cells)
+    if np.max(np.abs(cells - whole)) < 1e-9:
+        return _integer_shift(values, tuple(int(c) for c in whole))
+    return interpolate_values(values, grid, [ax - s for ax, s in zip(grid.meshgrid(), shift)])
 
 
 # ----------------------------------------------------------------------
@@ -247,6 +271,19 @@ def _edge_ratio(values: np.ndarray) -> float:
         layers = np.moveaxis(a, ax, 0)
         worst = max(worst, float(np.max(layers[:2])), float(np.max(layers[-2:])))
     return worst / peak
+
+
+def _warn_at_edge(values: np.ndarray, what: str, tol: float = config.TAIL_TOL) -> None:
+    """Warn (BandwidthExceededWarning) when the edge layers of ``values``
+    exceed ``tol`` times its peak: mass has reached the lattice edge, so
+    whatever lies beyond it is lost or aliased."""
+    edge = _edge_ratio(values)
+    if edge > tol:
+        warnings.warn(
+            f"{what}: relative tail {edge:.2e} > {tol:g}; results may lose accuracy",
+            BandwidthExceededWarning,
+            stacklevel=3,
+        )
 
 
 def _trapezoid(n_points: int, step: float) -> np.ndarray:

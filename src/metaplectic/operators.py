@@ -24,20 +24,15 @@ independent realizations are provided:
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
 from . import config
-from .errors import (
-    BandwidthExceededWarning,
-    FactorizationFailedError,
-    GridMismatchError,
-)
+from .errors import FactorizationFailedError, GridMismatchError
 from .grids import (SampledFunction, _BLOCK_BYTES, _box_radius, _centered_fft,
-                    _edge_ratio, _integer_shift, _raised_cosine, _support_box,
-                    _trapezoid, interpolate_values)
+                    _integer_shift, _raised_cosine, _support_box, _translate,
+                    _warn_at_edge, interpolate_values)
 from .indices import maslov_branch
 from .symplectic import (
     GeneratingFunction,
@@ -119,18 +114,16 @@ def chirp_multiply(f: SampledFunction, p: np.ndarray) -> SampledFunction:
 def scale_op(f: SampledFunction, l: np.ndarray, m: int) -> SampledFunction:
     """Scaling operator i^m sqrt|det L| f(L x).
 
-    The branch m must match the sign of det L (even iff positive).  For
-    n = 2, L must be diagonal.  Values at non-lattice points L x come from
-    cubic interpolation; anything pulled from beyond the grid is treated
-    as tail (zero).
+    The branch m must match the sign of det L (even iff positive); L is
+    any invertible n x n matrix.  Values at non-lattice points L x come
+    from cubic interpolation; anything pulled from beyond the grid is
+    treated as tail (zero).
     """
     l = np.atleast_2d(np.asarray(l, dtype=float))
     m = maslov_branch(l, m)
     n = f.grid.n
     if l.shape != (n, n):
         raise GridMismatchError(f"scaling matrix must be {n}x{n}")
-    if n == 2 and (abs(l[0, 1]) > 0 or abs(l[1, 0]) > 0):
-        raise GridMismatchError("scale_op supports diagonal L only for n = 2")
     axes = f.grid.meshgrid()
     pts = [sum(l[i, k] * axes[k] for k in range(n)) for i in range(n)]
     vals = interpolate_values(f.values, f.grid, pts)
@@ -151,14 +144,8 @@ def hbar_fourier(f: SampledFunction, inverse: bool = False) -> SampledFunction:
     scale = grid.cell_volume() * (2.0 * math.pi * f.hbar) ** (-n / 2.0)
     phase = np.exp(-1j * math.pi * n / 4.0) if not inverse else np.exp(1j * math.pi * n / 4.0)
     vals = phase * scale * _centered_fft(f.values, inverse=inverse)
-    out = SampledFunction(grid.dual(f.hbar), f.hbar, vals, check_tails=False)
-    if _edge_ratio(vals) > config.TAIL_TOL:
-        warnings.warn(
-            "spectral mass reaches the dual-grid edge; increase N or X",
-            BandwidthExceededWarning,
-            stacklevel=2,
-        )
-    return out
+    _warn_at_edge(vals, "spectral mass reaches the dual-grid edge; increase N or X")
+    return SampledFunction(grid.dual(f.hbar), f.hbar, vals, check_tails=False)
 
 
 def heisenberg_weyl(f: SampledFunction, z0: np.ndarray) -> SampledFunction:
@@ -173,15 +160,7 @@ def heisenberg_weyl(f: SampledFunction, z0: np.ndarray) -> SampledFunction:
     if z0.size != 2 * n:
         raise GridMismatchError(f"z0 must have length {2 * n}")
     x0, p0 = z0[:n], z0[n:]
-    dx = f.grid.dx
-    steps = x0 / dx
-    rounded = np.rint(steps)
-    if np.max(np.abs(steps - rounded)) < 1e-9:
-        vals = _integer_shift(f.values, tuple(int(s) for s in rounded))
-    else:
-        axes = f.grid.meshgrid()
-        pts = [axes[i] - x0[i] for i in range(n)]
-        vals = interpolate_values(f.values, f.grid, pts)
+    vals = _translate(f.values, f.grid, x0)
     mesh = f.grid.meshgrid()
     lin = sum(p0[i] * mesh[i] for i in range(n))
     phase = np.exp(1j * (lin - 0.5 * float(p0 @ x0)) / f.hbar)
@@ -216,8 +195,9 @@ def _qfio_factored(w: GeneratingFunction, m: int, f: SampledFunction) -> Sampled
         * np.exp(-1j * math.pi * n / 4.0)
         * (1j ** m) * math.sqrt(abs(np.linalg.det(w.L)))
     )
-    out = f.with_values(pref * vals)
-    return chirp_multiply(out, w.P)
+    out = chirp_multiply(f.with_values(pref * vals), w.P)
+    _warn_at_edge(out.values, "operator output reaches the grid edge; increase X")
+    return out
 
 
 def _qfio_quadrature(w: GeneratingFunction, m: int, f: SampledFunction) -> SampledFunction:
@@ -231,11 +211,7 @@ def _qfio_quadrature(w: GeneratingFunction, m: int, f: SampledFunction) -> Sampl
         )
     mesh = grid.meshgrid()
     pts = np.stack([ax.ravel() for ax in mesh], axis=-1)  # (total, n)
-    weights = _trapezoid(grid.N, grid.dx)
-    if grid.n == 2:
-        weights = np.multiply.outer(weights, weights)
-    weights = weights.ravel()
-    rhs = f.values.ravel() * weights
+    rhs = f.values.ravel() * grid.trapezoid_weights().ravel()
     pref = (
         (2.0 * math.pi * f.hbar) ** (-grid.n / 2.0)
         * np.exp(-1j * math.pi * grid.n / 4.0)
@@ -375,7 +351,7 @@ def support_radius(f: SampledFunction) -> float:
     box = _support_box(f.values)
     if box is None:
         return 0.0
-    return _box_radius(box, [f.grid.axis()] * f.grid.n)
+    return _box_radius(box, f.grid.axes())
 
 
 def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,

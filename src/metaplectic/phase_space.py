@@ -19,21 +19,16 @@ One degree of freedom (two-dimensional phase space).
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
 
 from . import config
-from .errors import (
-    BandwidthExceededWarning,
-    GridMismatchError,
-    OutOfDomainError,
-    TruncationError,
-)
-from .grids import (Grid, SampledFunction, _box_radius, _centered_fft, _checked_values,
-                    _cubic_at, _edge_ratio, _integer_shift, _raised_cosine,
-                    _support_box, _trapezoid, hermite_function, require_same_frame)
+from .errors import GridMismatchError, OutOfDomainError, TruncationError
+from .grids import (Grid, SampledFunction, _Lattice, _box_radius, _centered_fft,
+                    _checked_values, _raised_cosine, _support_box, _translate, _trapezoid,
+                    _warn_at_edge, hermite_function, interpolate_values,
+                    require_same_frame)
 from .nufft import nufft2d2
 from .symplectic import SymplecticMatrix, _integral_form, standard_j
 
@@ -50,7 +45,7 @@ __all__ = [
 ]
 
 
-class PhaseGrid:
+class PhaseGrid(_Lattice):
     """Uniform centered lattice on two-dimensional phase space.
 
     x-axis: N points, spacing 2X/N; p-axis: N_p points, spacing 2P_max/N_p.
@@ -61,7 +56,7 @@ class PhaseGrid:
     integer index arithmetic.
     """
 
-    __slots__ = ("n", "N", "X", "N_p", "P_max")
+    __slots__ = ()
 
     def __init__(self, n: int, N: int, X: float, N_p: int, P_max: float):
         if n != 1:
@@ -70,11 +65,7 @@ class PhaseGrid:
             raise GridMismatchError("phase-space grid needs at least 8 points per axis")
         if X <= 0 or P_max <= 0:
             raise GridMismatchError("X and P_max must be positive")
-        self.n = n
-        self.N = int(N)
-        self.X = float(X)
-        self.N_p = int(N_p)
-        self.P_max = float(P_max)
+        super().__init__(n, (N, N_p), (X, P_max))
 
     @classmethod
     def compatible(cls, grid: Grid, hbar: float) -> "PhaseGrid":
@@ -82,43 +73,18 @@ class PhaseGrid:
             raise GridMismatchError("phase-space grids support n = 1 only")
         return cls(1, grid.N, grid.X, grid.N, math.pi * hbar * grid.N / (4.0 * grid.X))
 
-    @property
-    def dx(self) -> float:
-        return 2.0 * self.X / self.N
-
-    @property
-    def dp(self) -> float:
-        return 2.0 * self.P_max / self.N_p
+    N = property(lambda self: self.sizes[0])
+    N_p = property(lambda self: self.sizes[1])
+    X = property(lambda self: self.widths[0])
+    P_max = property(lambda self: self.widths[1])
+    dx = property(lambda self: self.steps[0])
+    dp = property(lambda self: self.steps[1])
 
     def x_axis(self) -> np.ndarray:
-        return (np.arange(self.N) - self.N // 2) * self.dx
+        return self.axes()[0]
 
     def p_axis(self) -> np.ndarray:
-        return (np.arange(self.N_p) - self.N_p // 2) * self.dp
-
-    def meshgrid(self):
-        return np.meshgrid(self.x_axis(), self.p_axis(), indexing="ij")
-
-    def shape(self) -> tuple:
-        return (self.N, self.N_p)
-
-    def cell_volume(self) -> float:
-        return self.dx * self.dp
-
-    def trapezoid_weights(self) -> np.ndarray:
-        """Product trapezoid weights (boundary samples half-weighted)."""
-        return np.multiply.outer(_trapezoid(self.N, self.dx), _trapezoid(self.N_p, self.dp))
-
-    def index_coords(self, zx: np.ndarray, zp: np.ndarray) -> np.ndarray:
-        """Fractional lattice indices of the points (zx, zp), one row per axis."""
-        return np.stack([zx / self.dx + self.N // 2, zp / self.dp + self.N_p // 2])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PhaseGrid):
-            return NotImplemented
-        return (self.N == other.N and self.N_p == other.N_p
-                and abs(self.X - other.X) < 1e-12 * max(1.0, self.X)
-                and abs(self.P_max - other.P_max) < 1e-12 * max(1.0, self.P_max))
+        return self.axes()[1]
 
     def __repr__(self) -> str:
         return (f"PhaseGrid(n=1, N={self.N}, X={self.X}, "
@@ -137,7 +103,8 @@ class PhaseFunction:
         values = _checked_values(grid, hbar, values)
         self.grid = grid
         self.hbar = float(hbar)
-        self.values = values
+        # freeze a view: the caller's own array stays writable
+        self.values = values.view()
         self.values.flags.writeable = False
 
     def with_values(self, values: np.ndarray) -> "PhaseFunction":
@@ -147,15 +114,10 @@ class PhaseFunction:
         return math.sqrt(abs(self.inner(self)))
 
     def inner(self, other: "PhaseFunction") -> complex:
-        if self.grid != other.grid or abs(self.hbar - other.hbar) > 1e-15:
-            raise GridMismatchError("phase functions live on different frames")
+        require_same_frame(self, other)
         g = self.grid
         prod = self.values * np.conj(other.values)
         return complex(_trapezoid(g.N, g.dx) @ prod @ _trapezoid(g.N_p, g.dp))
-
-    def l1_norm(self) -> float:
-        g = self.grid
-        return float(_trapezoid(g.N, g.dx) @ np.abs(self.values) @ _trapezoid(g.N_p, g.dp))
 
 
 def cross_wigner(f: SampledFunction, g: SampledFunction) -> PhaseFunction:
@@ -194,14 +156,8 @@ def phase_shift(F: PhaseFunction, z0: np.ndarray) -> PhaseFunction:
     if z0.size != 2:
         raise GridMismatchError("z0 must have length 2")
     x0, p0 = float(z0[0]), float(z0[1])
-    grid = F.grid
-    sx = 0.5 * x0 / grid.dx
-    sp = 0.5 * p0 / grid.dp
-    xx, pp = grid.meshgrid()
-    if abs(sx - round(sx)) < 1e-9 and abs(sp - round(sp)) < 1e-9:
-        shifted = _integer_shift(F.values, (int(round(sx)), int(round(sp))))
-    else:
-        shifted = _cubic_at(F.values, grid.index_coords(xx - 0.5 * x0, pp - 0.5 * p0))
+    shifted = _translate(F.values, F.grid, z0 / 2)
+    xx, pp = F.grid.meshgrid()
     mult = np.exp(-1j * (pp * x0 - xx * p0) / F.hbar)
     return F.with_values(mult * shifted)
 
@@ -212,9 +168,9 @@ def compose_linear(F: PhaseFunction, mat: np.ndarray) -> PhaseFunction:
     if mat.shape != (2, 2):
         raise GridMismatchError("mat must be 2x2")
     xx, pp = F.grid.meshgrid()
-    return F.with_values(_cubic_at(F.values, F.grid.index_coords(
+    return F.with_values(interpolate_values(F.values, F.grid, [
         mat[0, 0] * xx + mat[0, 1] * pp, mat[1, 0] * xx + mat[1, 1] * pp,
-    )))
+    ]))
 
 
 def moyal_inner(F: PhaseFunction, G: PhaseFunction) -> complex:
@@ -282,9 +238,10 @@ def metaplectic_phase_apply(s: SymplecticMatrix, nu: int, F: PhaseFunction,
     if box is None:
         return F.with_values(np.zeros_like(F.values))
     (i0, i1), (k0, k1) = box
-    r_supp = _box_radius(box, [grid.x_axis(), grid.p_axis()])
-    xs = grid.x_axis()[i0:i1]
-    ps = grid.p_axis()[k0:k1]
+    xo, po = grid.axes()
+    r_supp = _box_radius(box, (xo, po))
+    xs = xo[i0:i1]
+    ps = po[k0:k1]
 
     # Ttilde(K u) F(z) = exp(i z.(J K) u / hbar) F(z - K u / 2)
     r_bil = standard_j(1) @ k_mat
@@ -300,8 +257,6 @@ def metaplectic_phase_apply(s: SymplecticMatrix, nu: int, F: PhaseFunction,
     # singular value of S; beyond it the true values are tail
     sig_max = float(np.linalg.svd(s.entries, compute_uv=False)[0])
     r_out = 1.15 * sig_max * r_supp + 3.0 * math.sqrt(hbar)
-    xo = grid.x_axis()
-    po = grid.p_axis()
     ox = np.nonzero(np.abs(xo) <= r_out)[0]
     op = np.nonzero(np.abs(po) <= r_out)[0]
     zx = xo[ox[0]:ox[-1] + 1]
@@ -350,13 +305,8 @@ def metaplectic_phase_apply(s: SymplecticMatrix, nu: int, F: PhaseFunction,
 
     out = np.zeros(grid.shape(), dtype=complex)
     out[ox[0]:ox[-1] + 1, op[0]:op[-1] + 1] = block
-    if _edge_ratio(block) > 1e-6 and (ox[0] > 0 or op[0] > 0):
-        warnings.warn(
-            "output mass reaches the reachable-box boundary; "
-            "increase the grid extent",
-            BandwidthExceededWarning,
-            stacklevel=2,
-        )
+    if ox[0] > 0 or op[0] > 0:
+        _warn_at_edge(block, "output mass reaches the reachable-box boundary", tol=1e-6)
     return F.with_values(out)
 
 
@@ -388,7 +338,8 @@ def bopp_apply(a_sigma, F: PhaseFunction) -> PhaseFunction:
     box = _support_box(F.values, pad=2)
     if box is None:
         return F.with_values(np.zeros_like(F.values))
-    r_supp = _box_radius(box, [grid.x_axis(), grid.p_axis()])
+    xg, pg = grid.axes()
+    r_supp = _box_radius(box, (xg, pg))
     radius = config.R_FACTOR * max(r_supp, grid.dx)
 
     step_x = 2.0 * grid.dx
@@ -423,8 +374,6 @@ def bopp_apply(a_sigma, F: PhaseFunction) -> PhaseFunction:
     kernel[:, np.arange(-kp_in, kp_in + 1) % length] = weights[:, kp - kp_in:kp + kp_in + 1]
     kernel_hat = fft(kernel, axis=1)
 
-    xg = grid.x_axis()
-    pg = grid.p_axis()
     mod = np.exp((-2j / hbar) * np.multiply.outer(xg, pg))
     acc = np.zeros(grid.shape(), dtype=complex)
     for ix in np.nonzero(keep.any(axis=1))[0]:

@@ -22,6 +22,7 @@ exactly.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -50,7 +51,14 @@ def matrix_to_json(entries: np.ndarray) -> dict:
             "entries": [float(v) for v in entries.ravel()]}
 
 
+def _require_object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
+    _require_object(obj, "matrix JSON")
     try:
         n = int(obj["n"])
         entries = np.asarray(obj["entries"], dtype=float).reshape(2 * n, 2 * n)
@@ -64,6 +72,7 @@ def generating_to_json(w: GeneratingFunction) -> dict:
 
 
 def generating_from_json(obj: dict) -> GeneratingFunction:
+    _require_object(obj, "generating-function JSON")
     try:
         n = int(obj.get("n", np.atleast_2d(obj["L"]).shape[0]))
         blocks = [np.asarray(obj[k], dtype=float).reshape(n, n)
@@ -85,61 +94,57 @@ def word_to_json(factors) -> list:
 def word_from_json(obj) -> list:
     if isinstance(obj, dict):
         obj = [obj]
+    if not isinstance(obj, list):
+        raise ValueError(f"word JSON must be an object or a list, got {type(obj).__name__}")
     return [(generating_from_json(entry), int(entry.get("m", 0)) % 4)
             for entry in obj]
 
 
-def _write_payload(fh, values: np.ndarray) -> None:
+def _save(path: str, header: dict, values: np.ndarray) -> None:
+    """One-line JSON header, then one ``re,im`` row per sample."""
     flat = np.asarray(values, dtype=complex).ravel()
-    np.savetxt(fh, np.column_stack([flat.real, flat.imag]),
-               delimiter=",", fmt="%.17g")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        np.savetxt(fh, np.column_stack([flat.real, flat.imag]),
+                   delimiter=",", fmt="%.17g")
 
 
-def _read_payload(fh, count: int) -> np.ndarray:
-    data = np.loadtxt(fh, delimiter=",", ndmin=2)
+def _load(path: str, what: str, make_grid) -> tuple:
+    """(grid, hbar, values) from a file written by ``_save``; ``make_grid``
+    builds the lattice from the header."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = _require_object(json.loads(fh.readline()), f"{what} header")
+        try:
+            grid = make_grid(header)
+            hbar = float(header["hbar"])
+        except KeyError as exc:
+            raise ValueError(f"{what} header is missing key {exc}") from exc
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    count = math.prod(grid.shape())
     if data.shape != (count, 2):
         raise ValueError(f"expected {count} re,im rows, got shape {data.shape}")
-    return data[:, 0] + 1j * data[:, 1]
+    return grid, hbar, (data[:, 0] + 1j * data[:, 1]).reshape(grid.shape())
 
 
 def save_sampled(path: str, f: SampledFunction) -> None:
-    header = {"n": f.grid.n, "N": f.grid.N, "X": float(f.grid.X),
-              "hbar": float(f.hbar)}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        _write_payload(fh, f.values)
+    _save(path, {"n": f.grid.n, "N": f.grid.N, "X": float(f.grid.X),
+                 "hbar": float(f.hbar)}, f.values)
 
 
 def load_sampled(path: str) -> SampledFunction:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        try:
-            grid = Grid(n=int(header["n"]), N=int(header["N"]), X=float(header["X"]))
-            hbar = float(header["hbar"])
-        except KeyError as exc:
-            raise ValueError(f"sampled-function header is missing key {exc}") from exc
-        flat = _read_payload(fh, grid.N ** grid.n)
-    return SampledFunction(grid, hbar, flat.reshape(grid.shape()), check_tails=False)
+    grid, hbar, values = _load(path, "sampled-function", lambda h: Grid(
+        n=int(h["n"]), N=int(h["N"]), X=float(h["X"])))
+    return SampledFunction(grid, hbar, values, check_tails=False)
 
 
 def save_phase(path: str, F: PhaseFunction) -> None:
     g = F.grid
-    header = {"n": g.n, "N": g.N, "X": float(g.X), "N_p": g.N_p,
-              "P_max": float(g.P_max), "hbar": float(F.hbar)}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        _write_payload(fh, F.values)
+    _save(path, {"n": g.n, "N": g.N, "X": float(g.X), "N_p": g.N_p,
+                 "P_max": float(g.P_max), "hbar": float(F.hbar)}, F.values)
 
 
 def load_phase(path: str) -> PhaseFunction:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        try:
-            grid = PhaseGrid(n=int(header["n"]), N=int(header["N"]),
-                             X=float(header["X"]), N_p=int(header["N_p"]),
-                             P_max=float(header["P_max"]))
-            hbar = float(header["hbar"])
-        except KeyError as exc:
-            raise ValueError(f"phase-function header is missing key {exc}") from exc
-        flat = _read_payload(fh, grid.N * grid.N_p)
-    return PhaseFunction(grid, hbar, flat.reshape(grid.shape()))
+    grid, hbar, values = _load(path, "phase-function", lambda h: PhaseGrid(
+        n=int(h["n"]), N=int(h["N"]), X=float(h["X"]), N_p=int(h["N_p"]),
+        P_max=float(h["P_max"])))
+    return PhaseFunction(grid, hbar, values)

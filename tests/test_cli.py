@@ -257,6 +257,22 @@ def test_header_missing_key_is_a_usage_error(workdir, capsys):
         assert "header is missing key 'hbar'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", [
+    ["symplectic", "--op", "cayley", "--input", "list.json"],
+    ["symplectic", "--op", "det-s-minus-i", "--input", "list.json"],
+    ["wigner", "--out", "W.csv", "--f", "list.csv"],
+    ["apply", "--in", "f.csv", "--out", "g.csv", "--word", "list.json"],
+], ids=["cayley", "det-s-minus-i", "wigner", "apply"])
+def test_non_object_json_is_a_usage_error(workdir, capsys, monkeypatch, cmd):
+    # exit 2 (bad input), not a TypeError traceback with exit 1 (failed verify)
+    monkeypatch.chdir(workdir)
+    (workdir / "list.json").write_text("[1, 2]\n")
+    payload = (workdir / "f.csv").read_text().split("\n", 1)[1]
+    (workdir / "list.csv").write_text("[1, 2]\n" + payload)
+    assert main(cmd) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
 def test_exit_code_bad_file(workdir):
     rc = main(["symplectic", "--op", "cayley",
                "--input", str(workdir / "missing.json")])

@@ -5,12 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from metaplectic import (
+    BandwidthExceededWarning,
     bochner_apply,
     cayley,
     chirp_multiply,
@@ -19,6 +21,7 @@ from metaplectic import (
     factor_pair,
     free_from_generating,
     gaussian,
+    GeneratingFunction,
     Grid,
     GridMismatchError,
     hbar_fourier,
@@ -82,6 +85,19 @@ def test_chirp_multiply_phase(grid, phi0):
     np.testing.assert_allclose(
         out.values, np.exp(0.5j * 0.7 * x * x / HBAR) * phi0.values,
         atol=1e-12)
+
+
+def test_scale_op_non_diagonal_l_in_two_dimensions():
+    # i^m sqrt|det L| f(L x) for the Gaussian is the closed form
+    # sqrt|det L| (pi hbar)^{-1/2} exp(-|L x|^2 / 2 hbar); cubic interpolation
+    # at N = 128, X = 8 reproduces it to 3.0e-6 relative
+    g2 = Grid(n=2, N=128, X=8.0)
+    l = np.array([[1.2, 0.5], [-0.3, 0.9]])
+    out = scale_op(gaussian(g2, HBAR), l, 0)
+    x, y = g2.meshgrid()
+    r2 = (l[0, 0] * x + l[0, 1] * y) ** 2 + (l[1, 0] * x + l[1, 1] * y) ** 2
+    ref = math.sqrt(np.linalg.det(l) / (math.pi * HBAR)) * np.exp(-r2 / (2 * HBAR))
+    assert np.max(np.abs(out.values - ref)) / np.max(ref) < 1e-5
 
 
 def test_scale_op_unitary_and_parity(grid, phi0):
@@ -304,3 +320,38 @@ def test_qfio_rejects_frame_mismatch(grid):
     with pytest.raises(GridMismatchError):
         # rotation generating function is n = 1; dimensions must match
         qfio_apply(w, 0, f2)
+
+
+def test_grid_equality_and_hash_agree():
+    a, b = Grid(1, 8, 1e6), Grid(1, 8, 1e6 + 1e-7)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert Grid(1, 8, 1.0) != Grid(1, 8, 1.0 + 1e-9)
+    assert Grid(1, 8, 1.0) != Grid(2, 8, 1.0)
+
+
+@pytest.mark.parametrize("q", [8.0, 15.0, 30.0])
+def test_qfio_warns_when_output_reaches_the_edge(phi0, q):
+    # the chirp of W = (0, 1, q) spreads the Gaussian past X = 12: the
+    # lattice operator keeps only norms 0.982, 0.861, 0.654 of it
+    with pytest.warns(BandwidthExceededWarning, match="operator output"):
+        qfio_apply(GeneratingFunction(0.0, 1.0, q), 0, phi0)
+
+
+def test_sampled_function_warns_at_grid_edge():
+    with pytest.warns(BandwidthExceededWarning, match="grid edge"):
+        gaussian(Grid(n=1, N=64, X=2.0), HBAR)
+
+
+def test_hbar_fourier_warns_at_dual_grid_edge():
+    # X = 40 with N = 64 puts the dual edge at pi hbar N / 2X = 2.5
+    with pytest.warns(BandwidthExceededWarning, match="dual-grid edge"):
+        hbar_fourier(gaussian(Grid(n=1, N=64, X=40.0), HBAR))
+
+
+def test_admissible_operations_do_not_warn(grid, phi0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BandwidthExceededWarning)
+        gaussian(grid, HBAR)
+        hbar_fourier(phi0)
+        qfio_apply(rotation_generating(1.0), 0, phi0)
+        qfio_apply(GeneratingFunction(0.0, 1.0, 1.0), 0, phi0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from metaplectic import (
+    BandwidthExceededWarning,
     bopp_apply,
     cayley,
     compose_linear,
@@ -348,3 +349,29 @@ def test_bopp_rejects_symbol_not_decayed_at_truncation_ring():
     wide = lambda zx, zp: np.exp(-(zx * zx + zp * zp) / (2 * 10.0 ** 2))
     with pytest.raises(TruncationError):
         bopp_apply(wide, F)
+
+
+def test_phase_grid_equality_and_hash_agree(grid):
+    a = PhaseGrid(1, 16, 2.0, 16, 2.0)
+    b = PhaseGrid(1, 16, 2.0, 16, 2.0 + 1e-13)
+    assert a == b and hash(a) == hash(b)
+    assert a != PhaseGrid(1, 16, 2.0, 16, 2.5)
+    assert PhaseGrid.compatible(grid, HBAR) != grid
+
+
+def test_phase_function_leaves_caller_array_writable():
+    v = np.zeros((16, 16), complex)
+    F = PhaseFunction(PhaseGrid(1, 16, 2.0, 16, 2.0), 1.0, v)
+    v[0, 0] = 1.0
+    assert not F.values.flags.writeable
+
+
+def test_phase_metaplectic_warns_when_output_leaves_reachable_box():
+    # W(f, g) for coherent states at (+-8, 0) sits at the origin, but its
+    # image W(S f, g) under the rotation by 2.5 is centered near (-7.2, 2.4),
+    # past the reachable box (radius about 9.2) that is built from F's support
+    grid = Grid(n=1, N=512, X=20.0)
+    phi0 = gaussian(grid, HBAR)
+    F = cross_wigner(heisenberg_weyl(phi0, [8.0, 0.0]), heisenberg_weyl(phi0, [-8.0, 0.0]))
+    with pytest.warns(BandwidthExceededWarning, match="reachable-box"):
+        metaplectic_phase_apply(rotation(2.5), 0, F)
