@@ -153,7 +153,8 @@ def heisenberg_weyl(f: SampledFunction, z0: np.ndarray) -> SampledFunction:
     T(z0) f(x) = exp(i (p0.x - p0.x0 / 2) / hbar) f(x - x0).
 
     Shifts by lattice-aligned x0 are exact index moves; other shifts use
-    cubic interpolation.
+    cubic interpolation.  Warns (BandwidthExceededWarning) when the shifted
+    function reaches the grid edge, where its mass is lost.
     """
     z0 = np.asarray(z0, dtype=float).reshape(-1)
     n = f.grid.n
@@ -164,7 +165,9 @@ def heisenberg_weyl(f: SampledFunction, z0: np.ndarray) -> SampledFunction:
     mesh = f.grid.meshgrid()
     lin = sum(p0[i] * mesh[i] for i in range(n))
     phase = np.exp(1j * (lin - 0.5 * float(p0 @ x0)) / f.hbar)
-    return f.with_values(phase * vals)
+    out = f.with_values(phase * vals)
+    _warn_at_edge(out.values, "shifted function reaches the grid edge; increase X")
+    return out
 
 
 # ----------------------------------------------------------------------

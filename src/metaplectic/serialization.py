@@ -21,6 +21,7 @@ exactly.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 
@@ -57,14 +58,23 @@ def _require_object(obj, what: str) -> dict:
     return obj
 
 
+@contextlib.contextmanager
+def _fields(what: str):
+    """Re-raise a missing key or a field of the wrong type (``null`` where a
+    number belongs, say) as ``ValueError``: bad input, not a crash."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{what} is missing key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"{what} has a field of the wrong type ({exc})") from exc
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     _require_object(obj, "matrix JSON")
-    try:
+    with _fields("matrix JSON"):
         n = int(obj["n"])
-        entries = np.asarray(obj["entries"], dtype=float).reshape(2 * n, 2 * n)
-    except KeyError as exc:
-        raise ValueError(f"matrix JSON is missing key {exc}") from exc
-    return entries
+        return np.asarray(obj["entries"], dtype=float).reshape(2 * n, 2 * n)
 
 
 def generating_to_json(w: GeneratingFunction) -> dict:
@@ -73,12 +83,10 @@ def generating_to_json(w: GeneratingFunction) -> dict:
 
 def generating_from_json(obj: dict) -> GeneratingFunction:
     _require_object(obj, "generating-function JSON")
-    try:
+    with _fields("generating-function JSON"):
         n = int(obj.get("n", np.atleast_2d(obj["L"]).shape[0]))
         blocks = [np.asarray(obj[k], dtype=float).reshape(n, n)
                   for k in ("P", "L", "Q")]
-    except KeyError as exc:
-        raise ValueError(f"generating-function JSON is missing key {exc}") from exc
     return GeneratingFunction(*blocks)
 
 
@@ -96,8 +104,12 @@ def word_from_json(obj) -> list:
         obj = [obj]
     if not isinstance(obj, list):
         raise ValueError(f"word JSON must be an object or a list, got {type(obj).__name__}")
-    return [(generating_from_json(entry), int(entry.get("m", 0)) % 4)
-            for entry in obj]
+    factors = []
+    for entry in obj:
+        w = generating_from_json(entry)
+        with _fields("word JSON"):
+            factors.append((w, int(entry.get("m", 0)) % 4))
+    return factors
 
 
 def _save(path: str, header: dict, values: np.ndarray) -> None:
@@ -114,11 +126,9 @@ def _load(path: str, what: str, make_grid) -> tuple:
     builds the lattice from the header."""
     with open(path, "r", encoding="utf-8") as fh:
         header = _require_object(json.loads(fh.readline()), f"{what} header")
-        try:
+        with _fields(f"{what} header"):
             grid = make_grid(header)
             hbar = float(header["hbar"])
-        except KeyError as exc:
-            raise ValueError(f"{what} header is missing key {exc}") from exc
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     count = math.prod(grid.shape())
     if data.shape != (count, 2):

@@ -273,6 +273,26 @@ def test_non_object_json_is_a_usage_error(workdir, capsys, monkeypatch, cmd):
     assert "must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, bad, cmd", [
+    ("matrix.json", '{"n": null, "entries": [1, 0, 0, 1]}',
+     ["symplectic", "--op", "cayley", "--input", "matrix.json"]),
+    ("gen.json", '{"n": null, "P": [[0]], "L": [[1]], "Q": [[0]]}',
+     ["symplectic", "--op", "det-s-minus-i", "--input", "gen.json"]),
+    ("word.json", '[{"P": [[0]], "L": [[1]], "Q": [[0]], "m": null}]',
+     ["apply", "--in", "f.csv", "--out", "g.csv", "--word", "word.json"]),
+    ("header.csv", '{"n": 1, "N": null, "X": 12.0, "hbar": 1.0}',
+     ["wigner", "--out", "W.csv", "--f", "header.csv"]),
+], ids=["matrix", "generating", "word", "csv-header"])
+def test_wrong_field_type_is_a_usage_error(workdir, capsys, monkeypatch, name, bad, cmd):
+    # exit 2 (bad input), not a TypeError traceback with exit 1 (failed verify)
+    monkeypatch.chdir(workdir)
+    if name.endswith(".csv"):
+        bad += "\n" + (workdir / "f.csv").read_text().split("\n", 1)[1]
+    (workdir / name).write_text(bad + "\n")
+    assert main(cmd) == 2
+    assert "has a field of the wrong type" in capsys.readouterr().err
+
+
 def test_exit_code_bad_file(workdir):
     rc = main(["symplectic", "--op", "cayley",
                "--input", str(workdir / "missing.json")])

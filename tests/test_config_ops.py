@@ -348,6 +348,13 @@ def test_hbar_fourier_warns_at_dual_grid_edge():
         hbar_fourier(gaussian(Grid(n=1, N=64, X=40.0), HBAR))
 
 
+@pytest.mark.parametrize("x0", [11.0, -240 * 24.0 / 512], ids=["off-lattice", "on-lattice"])
+def test_heisenberg_weyl_warns_when_shift_reaches_the_edge(phi0, x0):
+    # on N = 512, X = 12 the shift x0 = 11 keeps only norm 0.957 of the Gaussian
+    with pytest.warns(BandwidthExceededWarning, match="shifted function"):
+        heisenberg_weyl(phi0, np.array([x0, 1.0]))
+
+
 def test_admissible_operations_do_not_warn(grid, phi0):
     with warnings.catch_warnings():
         warnings.simplefilter("error", BandwidthExceededWarning)
@@ -355,3 +362,4 @@ def test_admissible_operations_do_not_warn(grid, phi0):
         hbar_fourier(phi0)
         qfio_apply(rotation_generating(1.0), 0, phi0)
         qfio_apply(GeneratingFunction(0.0, 1.0, 1.0), 0, phi0)
+        heisenberg_weyl(phi0, np.array([2.0, 1.0]))
