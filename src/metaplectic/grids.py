@@ -12,8 +12,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.ndimage import map_coordinates
-from scipy.special import eval_hermite
 
 from . import config
 from .errors import BandwidthExceededWarning, GridMismatchError
@@ -180,7 +178,9 @@ def hermite_function(k: int, grid: Grid, hbar: float) -> SampledFunction:
              exp(-x^2 / 2 hbar),
 
     an orthonormal family; the hbar Fourier transform maps h_k to
-    (-i)^k h_k.
+    (-i)^k h_k.  Computed by the normalized three-term recurrence
+    h_{j+1} = sqrt(2 / (j+1)) t h_j - sqrt(j / (j+1)) h_{j-1}, t = x / sqrt(hbar),
+    so no float overflows at any order (2^k k! does from k = 151).
     """
     if grid.n != 1:
         raise GridMismatchError("hermite_function is one-dimensional; take products for n=2")
@@ -188,8 +188,20 @@ def hermite_function(k: int, grid: Grid, hbar: float) -> SampledFunction:
         raise ValueError("order must be nonnegative")
     x = grid.axis()
     t = x / math.sqrt(hbar)
-    norm = (math.pi * hbar) ** (-0.25) / math.sqrt(2.0 ** k * math.factorial(k))
-    vals = norm * eval_hermite(k, t) * np.exp(-t * t / 2.0)
+    # the recurrence runs on h_j e^{t^2/2}, divided pointwise by e^{log_scale}
+    # whenever it grows past 1e150: e^{-t^2/2} alone underflows beyond
+    # |t| = 38.6, inside the oscillatory region of h_k from k = 745
+    prev = np.zeros_like(t)
+    vals = np.ones_like(t)
+    log_scale = np.zeros_like(t)
+    for j in range(k):
+        prev, vals = vals, math.sqrt(2.0 / (j + 1)) * t * vals - math.sqrt(j / (j + 1)) * prev
+        big = np.abs(vals) > 1e150
+        if big.any():
+            vals[big] *= 1e-150
+            prev[big] *= 1e-150
+            log_scale[big] += 150.0 * math.log(10.0)
+    vals = (math.pi * hbar) ** (-0.25) * vals * np.exp(log_scale - t * t / 2.0)
     return SampledFunction(grid, hbar, vals.astype(complex))
 
 
@@ -229,9 +241,27 @@ _BLOCK_BYTES = 1 << 24
 def _cubic_at(values: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Complex cubic-spline values at fractional index coordinates
     ``coords`` (one row per axis); points outside the array evaluate to 0."""
+    # imported here so that importing the package does not load SciPy
+    from scipy.ndimage import map_coordinates
+
     re = map_coordinates(values.real, coords, order=3, mode="constant", cval=0.0)
     im = map_coordinates(values.imag, coords, order=3, mode="constant", cval=0.0)
     return re + 1j * im
+
+
+@functools.lru_cache(maxsize=None)
+def _next_fast_len(n: int) -> int:
+    """Smallest 11-smooth integer >= n: the FFT lengths that pocketfft
+    factors into its own radices 2, 3, 5, 7 and 11."""
+    m = max(int(n), 1)
+    while True:
+        rest = m
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
 
 
 def _centered_fft(values: np.ndarray, axes=None, inverse: bool = False) -> np.ndarray:

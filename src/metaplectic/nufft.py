@@ -26,12 +26,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy import i0
 from numpy.polynomial.chebyshev import chebfit
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import ifft, next_fast_len
-from scipy.special import i0
 
-from .grids import _BLOCK_BYTES
+from .grids import _BLOCK_BYTES, _next_fast_len
 
 __all__ = ["nufft2d2"]
 
@@ -93,7 +92,7 @@ def _window_weights(x: np.ndarray) -> np.ndarray:
 
 
 def _axis_setup(n_modes: int):
-    n_fine = next_fast_len(max(2 * n_modes, 4 * _WIDTH))
+    n_fine = _next_fast_len(max(2 * n_modes, 4 * _WIDTH))
     h = 2.0 * math.pi / n_fine
     modes = np.arange(n_modes) - n_modes // 2
     deconv = _kb_transform(modes.astype(float), 0.5 * _WIDTH * h)
@@ -123,8 +122,10 @@ def nufft2d2(xi1: np.ndarray, xi2: np.ndarray, coeffs: np.ndarray) -> np.ndarray
     mode_rows = np.zeros((j_modes, n2), dtype=complex)
     mode_rows[:, m2 % n2] = coeffs * (h1 * h2) / np.multiply.outer(d1, d2)
     fine = np.zeros((n1, n2), dtype=complex)
-    fine[m1 % n1] = ifft(mode_rows, axis=1, norm="forward")
-    fine = ifft(fine, axis=0, norm="forward", overwrite_x=True)
+    fine[m1 % n1] = np.fft.ifft(mode_rows, axis=1, norm="forward")
+    # in place: into a fresh (n1, n2) array this FFT took 1.6-1.8x as long
+    # (1024 x 1024, x86)
+    np.fft.ifft(fine, axis=0, norm="forward", out=fine)
     flat = np.pad(fine, ((0, _WIDTH), (0, _WIDTH)), mode="wrap").ravel()
     # row r of ``strips`` is the w samples from flat[r] on
     strips = sliding_window_view(flat, _WIDTH)

@@ -21,14 +21,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
 
 from . import config
 from .errors import GridMismatchError, OutOfDomainError, TruncationError
 from .grids import (Grid, SampledFunction, _Lattice, _box_radius, _centered_fft,
-                    _checked_values, _raised_cosine, _support_box, _translate, _trapezoid,
-                    _warn_at_edge, hermite_function, interpolate_values,
-                    require_same_frame)
+                    _checked_values, _next_fast_len, _raised_cosine, _support_box,
+                    _translate, _trapezoid, _warn_at_edge, hermite_function,
+                    interpolate_values, require_same_frame)
 from .nufft import nufft2d2
 from .symplectic import SymplecticMatrix, _integral_form, standard_j
 
@@ -369,10 +368,10 @@ def bopp_apply(a_sigma, F: PhaseFunction) -> PhaseFunction:
     n_x, n_p = grid.shape()
     # p-shifts of N_p or more move F off the grid; the rest form the kernel
     kp_in = min(kp, n_p - 1)
-    length = next_fast_len(n_p + kp_in)
+    length = _next_fast_len(n_p + kp_in)
     kernel = np.zeros((2 * kx + 1, length), dtype=complex)
     kernel[:, np.arange(-kp_in, kp_in + 1) % length] = weights[:, kp - kp_in:kp + kp_in + 1]
-    kernel_hat = fft(kernel, axis=1)
+    kernel_hat = np.fft.fft(kernel, axis=1)
 
     mod = np.exp((-2j / hbar) * np.multiply.outer(xg, pg))
     acc = np.zeros(grid.shape(), dtype=complex)
@@ -382,6 +381,6 @@ def bopp_apply(a_sigma, F: PhaseFunction) -> PhaseFunction:
         if lo >= hi:
             continue
         g = mod[lo:hi] * F.values[lo - a:hi - a]
-        conv = ifft(fft(g, n=length, axis=1) * kernel_hat[ix], axis=1)[:, :n_p]
+        conv = np.fft.ifft(np.fft.fft(g, n=length, axis=1) * kernel_hat[ix], axis=1)[:, :n_p]
         acc[lo:hi] += np.exp(-1j * pg * x0[ix] / hbar) * conv
     return F.with_values(np.conj(mod) * acc)

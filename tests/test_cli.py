@@ -1,8 +1,13 @@
 """Command-line interface: subcommands, file formats, config precedence,
 exit codes, and report determinism."""
 
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +21,13 @@ from metaplectic import (
     load_phase,
     load_sampled,
     matrix_to_json,
+    PhaseFunction,
+    PhaseGrid,
     rotation,
     rotation_generating,
     save_phase,
     save_sampled,
+    SampledFunction,
 )
 from metaplectic.cli import build_parser, main
 
@@ -73,6 +81,38 @@ def test_phase_round_trip(tmp_path):
     G = load_phase(path)
     assert G.grid == F.grid
     np.testing.assert_allclose(G.values, F.values, rtol=0, atol=0)
+
+
+def _phase_512():
+    rng = np.random.default_rng(0)
+    parts = [rng.standard_normal((512, 512)) * 10.0 ** rng.integers(-300, 300, (512, 512))
+             for _ in range(2)]
+    return PhaseFunction(PhaseGrid(n=1, N=512, X=12.0, N_p=512, P_max=20.0), HBAR,
+                         parts[0] + 1j * parts[1])
+
+
+def _special_values():
+    floats = np.resize([0.0, -0.0, 5e-324, -1.5e-300, 1e308], 16)
+    return SampledFunction(Grid(n=1, N=8, X=1.0), HBAR, floats.view(complex),
+                           check_tails=False)
+
+
+@pytest.mark.parametrize("make, save, load", [
+    (_phase_512, save_phase, load_phase),
+    (lambda: gaussian(Grid(n=2, N=16, X=10.0), 0.7), save_sampled, load_sampled),
+    (_special_values, save_sampled, load_sampled),
+], ids=["phase-512", "sampled-n2", "special-values"])
+def test_csv_bytes_match_savetxt(tmp_path, make, save, load):
+    f = make()
+    path = tmp_path / "f.csv"
+    save(str(path), f)
+    written = path.read_bytes()
+    flat = f.values.ravel()
+    expected = io.BytesIO()
+    expected.write(written.split(b"\n", 1)[0] + b"\n")
+    np.savetxt(expected, np.column_stack([flat.real, flat.imag]), delimiter=",", fmt="%.17g")
+    assert written == expected.getvalue()
+    np.testing.assert_array_equal(load(str(path)).values, f.values)
 
 
 def test_symplectic_cayley_subcommand(workdir):
@@ -163,6 +203,21 @@ def test_s0_subcommand(workdir, capsys):
     assert rep["window_id"] == "hermite:0"
     assert rep["norm_value"] > 1.0
     assert rep["truncation_estimate"] < 1e-8
+
+
+def test_s0_high_order_hermite_window(workdir):
+    # h_200 reaches past X = 12: s0 warns at the grid edge and still answers
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "metaplectic.cli", "s0", "--psi", str(workdir / "f.csv"),
+         "--window", "hermite:200"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "BandwidthExceededWarning" in proc.stderr
+    assert json.loads(proc.stdout)["window_id"] == "hermite:200"
 
 
 def test_asymptotic_subcommand(workdir, capsys):

@@ -39,6 +39,7 @@ from metaplectic import (
     scale_op,
     support_radius,
 )
+from metaplectic.grids import _next_fast_len
 from metaplectic.operators import _fourier_sum_axis
 
 HBAR = 1.0
@@ -117,6 +118,23 @@ def test_mehler_eigenphases(grid, k):
     out = qfio_apply(w, 0, hk)
     np.testing.assert_allclose(
         out.values, np.exp(-1j * alpha * (k + 0.5)) * hk.values, atol=1e-7)
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.7])
+def test_hermite_function_matches_hermval(grid, hbar):
+    t = grid.axis() / math.sqrt(hbar)
+    for k in range(9):
+        norm = (math.pi * hbar) ** (-0.25) / math.sqrt(2.0 ** k * math.factorial(k))
+        ref = norm * np.polynomial.hermite.hermval(t, np.eye(9)[k]) * np.exp(-t * t / 2.0)
+        assert np.max(np.abs(hermite_function(k, grid, hbar).values - ref)) < 1e-14
+
+
+# as floats, 2^k k! is inf from k = 151 and k! itself overflows from k = 171;
+# at k = 800, e^{-x^2/2} underflows inside the oscillatory region |x| < 40
+@pytest.mark.parametrize("k, X", [(160, 30.0), (180, 30.0), (800, 57.0)])
+def test_hermite_function_normalized_at_high_order(k, X):
+    h = hermite_function(k, Grid(n=1, N=2048, X=X), HBAR)
+    assert abs(h.norm() - 1.0) < 1e-12
 
 
 def test_quarter_rotation_is_fourier():
@@ -240,16 +258,36 @@ def test_fourier_sum_axis_matches_dense_sum(sign, axis):
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_import_leaves_scipy_signal_unloaded():
+def test_import_loads_no_scipy():
+    # SciPy is imported only on first use of the cubic pull-back
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, metaplectic; print('scipy.signal' in sys.modules)"],
+         "import sys, metaplectic.cli; print([m for m in sys.modules if m.startswith('scipy')])"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+def _is_11_smooth(m: int) -> bool:
+    for p in (2, 3, 5, 7, 11):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_next_fast_len_is_the_next_11_smooth_length():
+    smooth = [m for m in range(1, 4097 + 4096) if _is_11_smooth(m)]
+    for n in range(1, 4097):
+        assert _next_fast_len(n) == next(m for m in smooth if m >= n)
+
+
+def test_next_fast_len_matches_scipy():
+    scipy_fft = pytest.importorskip("scipy.fft")
+    for n in range(1, 4097):
+        assert _next_fast_len(n) == scipy_fft.next_fast_len(n)
 
 
 def test_support_radius_gaussian(grid, phi0):
