@@ -207,22 +207,28 @@ def hermite_function(k: int, grid: Grid, hbar: float) -> SampledFunction:
 
 def interpolate_values(values: np.ndarray, grid: _Lattice,
                        points: list[np.ndarray]) -> np.ndarray:
-    """Cubic-spline interpolation of sampled values at arbitrary points.
+    """The trigonometric interpolant of sampled values at arbitrary points,
+    summed from the centered spectrum by ``nufft2d2`` (to its 1e-10
+    relative).  ``points`` holds one coordinate array per lattice axis (one
+    or two axes), broadcast to a common shape.  A point beyond an axis's
+    band [-width, width), one period of the interpolant, evaluates to 0
+    (the tails) instead of wrapping."""
+    from .nufft import nufft2d2  # nufft imports this module
 
-    ``points`` is a list of coordinate arrays, one per lattice axis
-    (broadcast to a common shape).  Points outside the lattice evaluate to
-    0 (the tails).
-    """
-    shape = np.broadcast(*points).shape if len(points) > 1 else np.asarray(points[0]).shape
-    coords = [np.broadcast_to(np.asarray(pts, dtype=float), shape) / step + size // 2
-              for pts, step, size in zip(points, grid.steps, grid.sizes)]
-    return _cubic_at(values, np.stack(coords))
+    xi = [2.0 * math.pi * (p / step) / size
+          for p, step, size in zip(np.broadcast_arrays(*points), grid.steps, grid.sizes)]
+    inside = functools.reduce(np.logical_and, [(t >= -math.pi) & (t < math.pi) for t in xi])
+    xi = [t[inside] for t in xi] + [np.zeros(np.count_nonzero(inside))] * (2 - len(xi))
+    coeffs = (_centered_fft(values) / values.size).reshape(values.shape + (1,) * (2 - values.ndim))
+    out = np.zeros(inside.shape, dtype=complex)
+    out[inside] = nufft2d2(*xi, coeffs)
+    return out
 
 
 def _translate(values: np.ndarray, grid: _Lattice, shift) -> np.ndarray:
     """Samples of z -> values(z - shift), zero-filled: an exact index move
-    when every component of ``shift`` is within 1e-9 of a whole cell,
-    cubic interpolation otherwise."""
+    when every component of ``shift`` is within 1e-9 of a whole cell, the
+    trigonometric interpolant (``interpolate_values``) otherwise."""
     cells = np.asarray(shift, dtype=float) / np.asarray(grid.steps)
     whole = np.rint(cells)
     if np.max(np.abs(cells - whole)) < 1e-9:
@@ -236,17 +242,6 @@ def _translate(values: np.ndarray, grid: _Lattice, shift) -> np.ndarray:
 # Bytes of complex (16-byte) entries in one block of a blocked quadrature
 # sum; the float and complex temporaries of a block are a few times this.
 _BLOCK_BYTES = 1 << 24
-
-
-def _cubic_at(values: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Complex cubic-spline values at fractional index coordinates
-    ``coords`` (one row per axis); points outside the array evaluate to 0."""
-    # imported here so that importing the package does not load SciPy
-    from scipy.ndimage import map_coordinates
-
-    re = map_coordinates(values.real, coords, order=3, mode="constant", cval=0.0)
-    im = map_coordinates(values.imag, coords, order=3, mode="constant", cval=0.0)
-    return re + 1j * im
 
 
 @functools.lru_cache(maxsize=None)

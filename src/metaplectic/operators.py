@@ -119,8 +119,8 @@ def scale_op(f: SampledFunction, l: np.ndarray, m: int) -> SampledFunction:
 
     The branch m must match the sign of det L (even iff positive); L is
     any invertible n x n matrix.  Values at non-lattice points L x come
-    from cubic interpolation; anything pulled from beyond the grid is
-    treated as tail (zero).
+    from the trigonometric interpolant (``grids.interpolate_values``);
+    anything pulled from beyond the grid is treated as tail (zero).
     """
     l = np.atleast_2d(np.asarray(l, dtype=float))
     m = maslov_branch(l, m)
@@ -155,9 +155,9 @@ def heisenberg_weyl(f: SampledFunction, z0: np.ndarray) -> SampledFunction:
     """Heisenberg-Weyl operator
     T(z0) f(x) = exp(i (p0.x - p0.x0 / 2) / hbar) f(x - x0).
 
-    Shifts by lattice-aligned x0 are exact index moves; other shifts use
-    cubic interpolation.  Warns (BandwidthExceededWarning) when the shifted
-    function reaches the grid edge, where its mass is lost.
+    Shifts by lattice-aligned x0 are exact index moves, others read the
+    trigonometric interpolant.  Warns (BandwidthExceededWarning) when the
+    shifted function reaches the grid edge, where its mass is lost.
     """
     z0 = np.asarray(z0, dtype=float).reshape(-1)
     n = f.grid.n
@@ -179,22 +179,25 @@ def heisenberg_weyl(f: SampledFunction, z0: np.ndarray) -> SampledFunction:
 def _qfio_factored(w: GeneratingFunction, m: int, f: SampledFunction) -> SampledFunction:
     """chirp(P) . scale(L, m) . J . chirp(Q), with scale . J fused into a
     single chirp-z Fourier sum evaluated at the targets L x on the output
-    grid (no intermediate regridding, hence no interpolation loss)."""
+    grid (no regridding, hence no interpolation loss).  A target beyond the
+    sum's period [-pi hbar / dx, pi hbar / dx) is zeroed, never wrapped."""
     n = f.grid.n
     if n == 2 and (abs(w.L[0, 1]) > 0 or abs(w.L[1, 0]) > 0):
         raise GridMismatchError("factored method supports diagonal L only for n = 2")
     g = chirp_multiply(f, w.Q)
     # (J g)(L x_t) for every output point x_t, axis by axis.
     vals = g.values
-    x_lo = -(f.grid.N // 2) * f.grid.dx
-    for ax in range(n):
-        l_ax = w.L[ax, ax] if n == 2 else float(w.L[0, 0])
+    x = f.grid.axis()
+    band = math.pi * f.hbar / f.grid.dx
+    keeps = [(l * x >= -band) & (l * x < band) for l in np.diag(w.L)]
+    for ax, l_ax in enumerate(np.diag(w.L)):
         vals = _fourier_sum_axis(
             vals, ax,
-            x0=x_lo, dx=f.grid.dx,
-            p0=l_ax * x_lo, dp=l_ax * f.grid.dx,
+            x0=x[0], dx=f.grid.dx,
+            p0=l_ax * x[0], dp=l_ax * f.grid.dx,
             n_out=f.grid.N, hbar=f.hbar, sign=-1,
         )
+        vals = vals * keeps[ax].reshape((-1,) + (1,) * (n - 1 - ax))
     pref = (
         f.grid.cell_volume()
         * (2.0 * math.pi * f.hbar) ** (-n / 2.0)
@@ -202,7 +205,9 @@ def _qfio_factored(w: GeneratingFunction, m: int, f: SampledFunction) -> Sampled
         * (1j ** m) * math.sqrt(abs(np.linalg.det(w.L)))
     )
     out = chirp_multiply(f.with_values(pref * vals), w.P)
-    _warn_at_edge(out.values, "operator output reaches the grid edge; increase X")
+    limit = ("grid edge; increase X" if all(k.all() for k in keeps)
+             else "alias limit |L x| = pi hbar / dx; increase N or decrease X")
+    _warn_at_edge(out.values[np.ix_(*keeps)], f"operator output reaches the {limit}")
     return out
 
 

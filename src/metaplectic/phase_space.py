@@ -149,7 +149,7 @@ def phase_shift(F: PhaseFunction, z0: np.ndarray) -> PhaseFunction:
     Ttilde(z0) F(z) = exp(-i sigma(z, z0) / hbar) F(z - z0/2).
 
     When the half-shift lands on the lattice the translation is an exact
-    index move; otherwise cubic interpolation is used.
+    index move; otherwise it reads the trigonometric interpolant of F.
     """
     z0 = np.asarray(z0, dtype=float).reshape(-1)
     if z0.size != 2:
@@ -162,7 +162,7 @@ def phase_shift(F: PhaseFunction, z0: np.ndarray) -> PhaseFunction:
 
 
 def compose_linear(F: PhaseFunction, mat: np.ndarray) -> PhaseFunction:
-    """Samples of F(mat z) on F's own grid, by cubic interpolation."""
+    """Samples of F(mat z) on F's own grid, from its trigonometric interpolant."""
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (2, 2):
         raise GridMismatchError("mat must be 2x2")

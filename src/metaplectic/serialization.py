@@ -124,8 +124,8 @@ def _save(path: str, header: dict, values: np.ndarray) -> None:
 
 
 def _load(path: str, what: str, make_grid) -> tuple:
-    """(grid, hbar, values) from a file written by ``_save``; ``make_grid``
-    builds the lattice from the header."""
+    """(grid, hbar, values) from a file written by ``_save``, bit for bit
+    (-0.0 included); ``make_grid`` builds the lattice from the header."""
     with open(path, "r", encoding="utf-8") as fh:
         header = _require_object(json.loads(fh.readline()), f"{what} header")
         with _fields(f"{what} header"):
@@ -135,7 +135,7 @@ def _load(path: str, what: str, make_grid) -> tuple:
     count = math.prod(grid.shape())
     if data.shape != (count, 2):
         raise ValueError(f"expected {count} re,im rows, got shape {data.shape}")
-    return grid, hbar, (data[:, 0] + 1j * data[:, 1]).reshape(grid.shape())
+    return grid, hbar, data.view(complex).reshape(grid.shape())
 
 
 def save_sampled(path: str, f: SampledFunction) -> None:

@@ -112,7 +112,8 @@ def test_csv_bytes_match_savetxt(tmp_path, make, save, load):
     expected.write(written.split(b"\n", 1)[0] + b"\n")
     np.savetxt(expected, np.column_stack([flat.real, flat.imag]), delimiter=",", fmt="%.17g")
     assert written == expected.getvalue()
-    np.testing.assert_array_equal(load(str(path)).values, f.values)
+    # bit patterns, so that -0.0 and 0.0 differ
+    np.testing.assert_array_equal(load(str(path)).values.view(np.uint64), f.values.view(np.uint64))
 
 
 def test_symplectic_cayley_subcommand(workdir):
