@@ -202,7 +202,7 @@ def metaplectic_asymptotic(s: SymplecticMatrix, nu: int, F, z: np.ndarray,
     table of integral forms (``symplectic._integral_form``).
     """
     two_n = 2 * s.n
-    _, m_cay, pref = _integral_form(s, nu, twisted=False)
+    m_cay, pref = _integral_form(s, nu, twisted=False)
     if abs(np.linalg.det(s.entries + np.eye(two_n))) <= config.DET_FLOOR:
         raise DegeneratePhaseError("det(S + I) vanishes: M_S is degenerate")
     j = standard_j(s.n)

@@ -8,8 +8,10 @@ demo, and the ``verify`` invariant suites.
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 numerical-domain error (singular matrices, inadmissible grids, ...).
 
-Configuration precedence: explicit flag > ``--config`` file (or the file
-named by METAPLECTIC_CONFIG) > built-in default.
+Run settings (``--config``, ``--N``, ``--X``, ``--hbar``, and ``--seed``
+for ``verify``) belong to ``verify`` and ``demo-rotation``, the commands
+that read them.  Precedence: explicit flag > ``--config`` file (or the
+file named by METAPLECTIC_CONFIG) > built-in default.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _load_json(path: str):
 # ----------------------------------------------------------------------
 # subcommand handlers (each returns the process exit code)
 
-def cmd_symplectic(args, cfg: RunConfig) -> int:
+def cmd_symplectic(args) -> int:
     obj = _load_json(args.input)
     if args.op == "free-from-generating":
         out = matrix_to_json(free_from_generating(generating_from_json(obj)).entries)
@@ -79,7 +81,7 @@ def cmd_symplectic(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_indices(args, cfg: RunConfig) -> int:
+def cmd_indices(args) -> int:
     w = generating_from_json(_load_json(args.input))
     m = maslov_branch(w.L, args.branch)
     hess = w.hessian_xx()
@@ -100,7 +102,7 @@ def _word_nu_factors(word):
     return out
 
 
-def cmd_apply(args, cfg: RunConfig) -> int:
+def cmd_apply(args) -> int:
     word = word_from_json(_load_json(args.word))
     f = load_sampled(args.infile)
     if args.method in ("factored", "quadrature"):
@@ -112,14 +114,14 @@ def cmd_apply(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_wigner(args, cfg: RunConfig) -> int:
+def cmd_wigner(args) -> int:
     f = load_sampled(args.f)
     g = load_sampled(args.g) if args.g else f
     save_phase(args.outfile, cross_wigner(f, g))
     return 0
 
 
-def cmd_phase_apply(args, cfg: RunConfig) -> int:
+def cmd_phase_apply(args) -> int:
     word = word_from_json(_load_json(args.word))
     F = load_phase(args.infile)
     for (s, nu) in reversed(_word_nu_factors(word)):
@@ -128,13 +130,13 @@ def cmd_phase_apply(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_moyal(args, cfg: RunConfig) -> int:
+def cmd_moyal(args) -> int:
     value = moyal_inner(load_phase(args.f), load_phase(args.g))
     _emit_text(report_text({"re": value.real, "im": value.imag}), args.output)
     return 0
 
 
-def cmd_s0(args, cfg: RunConfig) -> int:
+def cmd_s0(args) -> int:
     psi = load_sampled(args.psi)
     if args.window.startswith("hermite:"):
         k = int(args.window.split(":", 1)[1])
@@ -150,7 +152,7 @@ def cmd_s0(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_asymptotic(args, cfg: RunConfig) -> int:
+def cmd_asymptotic(args) -> int:
     alpha = args.alpha
     s = rotation(alpha)
     w = rotation_generating(alpha)
@@ -171,7 +173,8 @@ def cmd_asymptotic(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_demo_rotation(args, cfg: RunConfig) -> int:
+def cmd_demo_rotation(args) -> int:
+    cfg = _run_config(args)
     alpha = args.alpha
     grid = Grid(n=1, N=cfg.N, X=cfg.X)
     hbar = cfg.hbar
@@ -208,8 +211,8 @@ def cmd_demo_rotation(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
-    report = run_suite(args.suite, cfg)
+def cmd_verify(args) -> int:
+    report = run_suite(args.suite, _run_config(args))
     _emit_text(report_text(report), args.output)
     return 0 if report["all_passed"] else 1
 
@@ -217,21 +220,21 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 # ----------------------------------------------------------------------
 # parser
 
-def _add_shared(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    """Config/override flags, accepted both before and after the subcommand.
+def _add_run_settings(parser: argparse.ArgumentParser, seed: bool) -> None:
+    """The run-setting flags, on the subcommands that read them."""
+    parser.add_argument("--config", help="flat KEY = value config file "
+                                          f"(or ${config_mod.ENV_CONFIG})")
+    parser.add_argument("--N", type=int, help="grid points per axis")
+    parser.add_argument("--X", type=float, help="grid half-width")
+    parser.add_argument("--hbar", type=float)
+    if seed:
+        parser.add_argument("--seed", type=int, help="seed for randomized verify suites")
 
-    The subparser copies default to SUPPRESS so that a flag given before the
-    subcommand is not clobbered by an absent one after it.
-    """
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--config", default=d,
-                        help="flat KEY = value config file "
-                             f"(or ${config_mod.ENV_CONFIG})")
-    parser.add_argument("--N", type=int, default=d, help="grid points per axis")
-    parser.add_argument("--X", type=float, default=d, help="grid half-width")
-    parser.add_argument("--hbar", type=float, default=d)
-    parser.add_argument("--seed", type=int, default=d,
-                        help="seed for randomized verify suites")
+
+def _run_config(args) -> RunConfig:
+    """Flag > ``--config`` file (or METAPLECTIC_CONFIG) > built-in default."""
+    return load_config(args.config).with_overrides(
+        N=args.N, X=args.X, hbar=args.hbar, seed=getattr(args, "seed", None))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,12 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="metaplectic",
         description="metaplectic operators on configuration and phase space",
     )
-    _add_shared(parser, suppress=False)
-    shared = argparse.ArgumentParser(add_help=False)
-    _add_shared(shared, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("symplectic", parents=[shared], help="matrix-level operations")
+    p = sub.add_parser("symplectic", help="matrix-level operations")
     p.add_argument("--op", required=True,
                    choices=["free-from-generating", "cayley",
                             "cayley-inverse", "det-s-minus-i"])
@@ -252,14 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_symplectic)
 
-    p = sub.add_parser("indices", parents=[shared], help="Maslov / Conley-Zehnder indices of a "
+    p = sub.add_parser("indices", help="Maslov / Conley-Zehnder indices of a "
                                        "generating function")
     p.add_argument("--input", required=True, help="generating-function JSON")
     p.add_argument("--branch", type=int, default=0, choices=[0, 1, 2, 3])
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_indices)
 
-    p = sub.add_parser("apply", parents=[shared], help="apply a metaplectic word to a sampled "
+    p = sub.add_parser("apply", help="apply a metaplectic word to a sampled "
                                      "function")
     p.add_argument("--word", required=True, help="JSON list of {P,L,Q,m}")
     p.add_argument("--method", default="factored",
@@ -268,13 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=cmd_apply)
 
-    p = sub.add_parser("wigner", parents=[shared], help="cross-Wigner transform W(f, g)")
+    p = sub.add_parser("wigner", help="cross-Wigner transform W(f, g)")
     p.add_argument("--f", required=True)
     p.add_argument("--g", default=None, help="defaults to --f (auto-Wigner)")
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=cmd_wigner)
 
-    p = sub.add_parser("phase-apply", parents=[shared], help="apply the phase-space operator of "
+    p = sub.add_parser("phase-apply", help="apply the phase-space operator of "
                                            "a metaplectic word")
     p.add_argument("--word", required=True)
     p.add_argument("--form", default="s1", choices=["s1", "alfa1", "alfa2"])
@@ -282,21 +282,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=cmd_phase_apply)
 
-    p = sub.add_parser("moyal", parents=[shared], help="phase-space inner product (F|G)")
+    p = sub.add_parser("moyal", help="phase-space inner product (F|G)")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_moyal)
 
-    p = sub.add_parser("s0", parents=[shared], help="Feichtinger-algebra norm diagnostics")
+    p = sub.add_parser("s0", help="Feichtinger-algebra norm diagnostics")
     p.add_argument("--psi", required=True)
     p.add_argument("--window", default="hermite:0",
                    help="window file or hermite:k")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_s0)
 
-    p = sub.add_parser("asymptotic", parents=[shared], help="leading small-hbar term vs. "
-                                          "quadrature for a rotation")
+    # no prefix matching: --hbar must not pass for --hbar-list
+    p = sub.add_parser("asymptotic", allow_abbrev=False,
+                       help="leading small-hbar term vs. quadrature for a rotation")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--hbar-list", required=True,
                    help="comma-separated hbar values")
@@ -305,15 +306,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="output", default=None)
     p.set_defaults(func=cmd_asymptotic)
 
-    p = sub.add_parser("demo-rotation", parents=[shared], help="worked rotation example with "
+    p = sub.add_parser("demo-rotation", help="worked rotation example with "
                                              "data files")
     p.add_argument("--alpha", type=float, default=math.pi / 2)
     p.add_argument("--outdir", default="demo_rotation_out")
+    _add_run_settings(p, seed=False)
     p.set_defaults(func=cmd_demo_rotation)
 
-    p = sub.add_parser("verify", parents=[shared], help="run an invariant suite")
+    p = sub.add_parser("verify", help="run an invariant suite")
     p.add_argument("--suite", default="core", choices=list(SUITES))
     p.add_argument("--output", default=None)
+    _add_run_settings(p, seed=True)
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -323,10 +326,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        cfg = cfg.with_overrides(N=args.N, X=args.X, hbar=args.hbar,
-                                 seed=args.seed)
-        return args.func(args, cfg)
+        return args.func(args)
     except NumericalDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

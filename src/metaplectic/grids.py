@@ -226,14 +226,20 @@ def interpolate_values(values: np.ndarray, grid: _Lattice,
 
 
 def _translate(values: np.ndarray, grid: _Lattice, shift) -> np.ndarray:
-    """Samples of z -> values(z - shift), zero-filled: an exact index move
-    when every component of ``shift`` is within 1e-9 of a whole cell, the
-    trigonometric interpolant (``interpolate_values``) otherwise."""
+    """Samples of z -> values(z - shift), zero-filled: the whole cells of the
+    shift are an exact index move; a remainder r above 1e-9 of a cell first
+    reads the trigonometric interpolant through the spectral ramp
+    exp(-2 pi i k r / N) on its axis, zeroing the sample it wrapped (r > 0)."""
     cells = np.asarray(shift, dtype=float) / np.asarray(grid.steps)
     whole = np.rint(cells)
-    if np.max(np.abs(cells - whole)) < 1e-9:
-        return _integer_shift(values, tuple(int(c) for c in whole))
-    return interpolate_values(values, grid, [ax - s for ax, s in zip(grid.meshgrid(), shift)])
+    for ax in np.flatnonzero(np.abs(cells - whole) >= 1e-9):
+        r, size = cells[ax] - whole[ax], values.shape[ax]
+        k = (np.arange(size) - size // 2).reshape((-1,) + (1,) * (values.ndim - 1 - ax))
+        spec = _centered_fft(values, axes=(ax,)) * np.exp(-2j * math.pi * r / size * k)
+        values = _centered_fft(spec, axes=(ax,), inverse=True) / size
+        if r > 0:
+            np.moveaxis(values, ax, 0)[0] = 0.0
+    return _integer_shift(values, tuple(int(c) for c in whole))
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .symplectic import (
     GeneratingFunction,
     SymplecticMatrix,
     _integral_form,
-    cayley,
     det_s_minus_i,
     free_from_generating,
     generating_from_free,
@@ -369,12 +368,11 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
                   form: str = "s1") -> SampledFunction:
     """Apply S to f through its phase-space (Bochner) integral
 
-        (2 pi hbar)^{-n} pref Integral exp(i u.Sigma u / 2 hbar) T(K u) f du
+        (2 pi hbar)^{-n} pref Integral exp(i z0.M z0 / 2 hbar) T(z0) f dz0
 
-    over a row (K, Sigma, pref) of the table of integral forms,
-    ``symplectic._integral_form``: form="s1" is the Cayley row (K = I, chirp
-    M_S), "s2" and "s3" the twisted row (checks the Cayley identities).
-    Every form sums over one z0 = K u lattice, with the Jacobian 1 / |det K|.
+    over a row (M, pref) of the table of integral forms,
+    ``symplectic._integral_form``: form="s1" is the Cayley row, "s2" and
+    "s3" the twisted row (checks the Cayley identities).
 
     The lattice is truncated at |z0| <= R = 3 support_radius(f)
     (``config.R_FACTOR``) with a radial raised-cosine roll-off over the
@@ -387,8 +385,7 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
         raise GridMismatchError("bochner_apply supports n = 1 only")
     if form not in ("s1", "s2", "s3"):
         raise ValueError(f"unknown form {form!r}")
-    k_mat, sigma, pref = _integral_form(s, nu, twisted=form != "s1")
-    kinv = np.linalg.inv(k_mat)
+    m_s, pref = _integral_form(s, nu, twisted=form != "s1")
     hbar = f.hbar
     grid = f.grid
     dx = grid.dx
@@ -402,9 +399,8 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
     k_max = int(math.floor(radius / dx))
     x0 = np.arange(-k_max, k_max + 1) * dx
 
-    # one z0 lattice for every form; p0 at 2.5x the Nyquist rate of M_S
-    m_cay = cayley(s)
-    slope = (abs(m_cay[1, 1]) * radius + abs(m_cay[0, 1]) * radius
+    # p0 at 2.5x the Nyquist rate of the chirp
+    slope = (abs(m_s[1, 1]) * radius + abs(m_s[0, 1]) * radius
              + grid.X + 0.5 * radius) / hbar
     dp0 = math.pi / (2.5 * max(slope, 1.0 / radius))
     j_max = int(math.ceil(radius / dp0))
@@ -413,11 +409,9 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
     xx, pp = np.meshgrid(x0, p0, indexing="ij")
     chi = _raised_cosine(np.hypot(xx, pp) / radius, config.CUTOFF_FRACTION)
 
-    # u.Sigma u / 2 at u = K^{-1} z0, and the shift phase of T(z0)
-    ux = kinv[0, 0] * xx + kinv[0, 1] * pp
-    up = kinv[1, 0] * xx + kinv[1, 1] * pp
-    quad = 0.5 * (sigma[0, 0] * ux * ux + 2.0 * sigma[0, 1] * ux * up
-                  + sigma[1, 1] * up * up)
+    # the chirp z0.M z0 / 2 and the shift phase of T(z0)
+    quad = 0.5 * (m_s[0, 0] * xx * xx + 2.0 * m_s[0, 1] * xx * pp
+                  + m_s[1, 1] * pp * pp)
     coeff = np.exp(1j * (quad - 0.5 * pp * xx) / hbar) * chi
 
     # inner p0 transform: for each x0 row, sum_p0 coeff exp(i p0 x / hbar)
@@ -432,6 +426,5 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
         shift = idx - k_max
         out += _integer_shift(fvals, (shift,)) * inner[idx]
 
-    pref = pref / abs(np.linalg.det(k_mat)) / (2.0 * math.pi * hbar)
-    out *= pref * dx * dp0
+    out *= pref / (2.0 * math.pi * hbar) * dx * dp0
     return f.with_values(out)

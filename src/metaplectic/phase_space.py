@@ -5,12 +5,12 @@ extended metaplectic operators acting on functions of z = (x, p).  The
 extended operator attached to (S, nu) is realized by honest quadrature of
 its phase-space integral
 
-    (2 pi hbar)^{-n} pref Integral exp(i u.Sigma u / 2 hbar) Ttilde(K u) F du
+    (2 pi hbar)^{-n} pref Integral exp(i z0.M z0 / 2 hbar) Ttilde(z0) F dz0
 
-over one of the two rows (K, Sigma, pref) of the table of integral forms,
+over one of the two rows (M, pref) of the table of integral forms,
 ``symplectic._integral_form``: the Cayley row (form name s1) or the twisted
 row (form names alfa1 and alfa2, which are one route).  The integral is
-reduced, by the substitution v = z - K u / 2 that places the integration
+reduced, by the substitution v = z - z0 / 2 that places the integration
 variable on the sample lattice of F, to a quadratic chirp times a
 sheared-lattice Fourier sum, which is evaluated by a type-2 nonuniform FFT.
 One degree of freedom (two-dimensional phase space).
@@ -215,7 +215,7 @@ def metaplectic_phase_apply(s: SymplecticMatrix, nu: int, F: PhaseFunction,
     """Apply the extended metaplectic operator of (S, nu) to F.
 
     The row of the table of integral forms named by ``form`` is reduced by
-    the substitution v = z - K u / 2 to a sum over the sample lattice of F,
+    the substitution v = z - z0 / 2 to a sum over the sample lattice of F,
     where the integrand decays through F itself, so the truncation region
     is the support box of F (the radial cutoff of the z0-form is redundant
     in these coordinates: shifts outside config.R_FACTOR times the support
@@ -230,7 +230,7 @@ def metaplectic_phase_apply(s: SymplecticMatrix, nu: int, F: PhaseFunction,
         raise GridMismatchError("S must be 2x2 for one degree of freedom")
     if form not in ("s1", "alfa1", "alfa2"):
         raise ValueError(f"unknown form {form!r}")
-    k_mat, sigma_mat, pref = _integral_form(s, nu, twisted=form != "s1")
+    m_s, pref = _integral_form(s, nu, twisted=form != "s1")
     hbar = F.hbar
     grid = F.grid
     box = _support_box(F.values, pad=2)
@@ -242,15 +242,11 @@ def metaplectic_phase_apply(s: SymplecticMatrix, nu: int, F: PhaseFunction,
     xs = xo[i0:i1]
     ps = po[k0:k1]
 
-    # Ttilde(K u) F(z) = exp(i z.(J K) u / hbar) F(z - K u / 2)
-    r_bil = standard_j(1) @ k_mat
-    b_mat = np.linalg.inv(0.5 * k_mat)
-    c_mat = b_mat.T @ sigma_mat @ b_mat
-    c_mat = 0.5 * (c_mat + c_mat.T)
-    g_mat = -(r_bil @ b_mat + c_mat)
-    rb = r_bil @ b_mat
-    mz = c_mat + (rb + rb.T)
-    pref_full = pref / (2.0 * math.pi * hbar) * abs(np.linalg.det(b_mat))
+    # Ttilde(z0) F(z) = exp(i z.J z0 / hbar) F(z - z0 / 2); at z0 = 2 (z - v)
+    # the phase is v.C v / 2 + z.G v + z.C z / 2 and dz0 = 4 dv
+    c_mat = 4.0 * m_s
+    g_mat = -(2.0 * standard_j(1) + c_mat)
+    pref_full = 4.0 * pref / (2.0 * math.pi * hbar)
 
     # reachable output box: the left-slot transport is bounded by the top
     # singular value of S; beyond it the true values are tail
@@ -296,9 +292,9 @@ def metaplectic_phase_apply(s: SymplecticMatrix, nu: int, F: PhaseFunction,
     core = nufft2d2(xi1, xi2, coeffs)
 
     vcx, vcp = vx[nj // 2], vp[nk // 2]
-    quad_z = 0.5 * (mz[0, 0] * zx[:, None] ** 2
-                    + 2.0 * mz[0, 1] * zx[:, None] * zp[None, :]
-                    + mz[1, 1] * zp[None, :] ** 2)
+    quad_z = 0.5 * (c_mat[0, 0] * zx[:, None] ** 2
+                    + 2.0 * c_mat[0, 1] * zx[:, None] * zp[None, :]
+                    + c_mat[1, 1] * zp[None, :] ** 2)
     lin_z = gz1 * vcx + gz2 * vcp
     block = pref_full * np.exp(1j * (quad_z / hbar + lin_z)) * core
 

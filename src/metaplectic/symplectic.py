@@ -268,29 +268,31 @@ def det_s_minus_i(w: GeneratingFunction) -> float:
 
 
 def _integral_form(s: SymplecticMatrix, nu: int, twisted: bool):
-    """(K, Sigma, pref): one row of the table of phase-space integral forms.
+    """(M, pref): one row of the table of phase-space integral forms.
 
     The extended operator of (S, nu), its configuration-space Bochner
     realization and their small-hbar limit all integrate, up to the
-    (2 pi hbar)^{-n} factor, pref exp(i u.Sigma u / 2 hbar) times the shift
-    by z0 = K u over u.  There are two rows:
+    (2 pi hbar)^{-n} factor, pref exp(i z0.M z0 / 2 hbar) times the shift
+    by z0 over z0.  There are two rows, derived independently:
 
-        Cayley:  K = I,      Sigma = M_S,               pref = i^nu / sqrt|det(S - I)|
-        twisted: K = S - I,  Sigma = -(JS + (JS)^T)/2,  pref = i^nu sqrt|det(S - I)|
+        Cayley:  M = M_S,  pref = i^nu / sqrt|det(S - I)|
+        twisted: the chirp -(JS + (JS)^T)/2 and prefactor i^nu sqrt|det(S - I)|
+                 of u, pulled back along z0 = (S - I) u
 
-    They are one integral: K^T M_S K is the twisted Sigma, i.e. the phase
-    -sigma(S u, u) / 2, and |det K| is the Jacobian of z0 = K u.  Both rows
+    so the twisted row never calls ``cayley`` and checks it.  Both rows
     share the gate |det(S - I)| > config.DET_FLOOR (SingularSMinusIError).
     """
-    eye = np.eye(2 * s.n)
-    k_mat = s.entries - eye
-    det_si = float(np.linalg.det(k_mat))
+    smi = s.entries - np.eye(2 * s.n)
+    det_si = float(np.linalg.det(smi))
     if abs(det_si) <= config.DET_FLOOR:
         raise SingularSMinusIError(f"|det(S - I)| = {abs(det_si):.3e} <= {config.DET_FLOOR:g}")
+    phase = 1j ** (int(nu) % 4)
     if not twisted:
-        return eye, cayley(s), (1j ** (int(nu) % 4)) / math.sqrt(abs(det_si))
+        return cayley(s), phase / math.sqrt(abs(det_si))
     js = standard_j(s.n) @ s.entries
-    return k_mat, -0.5 * (js + js.T), (1j ** (int(nu) % 4)) * math.sqrt(abs(det_si))
+    kinv = np.linalg.inv(smi)
+    m = -0.5 * kinv.T @ (js + js.T) @ kinv
+    return 0.5 * (m + m.T), phase * math.sqrt(abs(det_si)) / abs(det_si)
 
 
 def rotation(alpha: float, n: int = 1) -> SymplecticMatrix:

@@ -272,12 +272,12 @@ def test_config_file_and_flag_precedence(workdir, capsys, monkeypatch):
     assert rep["grid"]["N"] == 256
     assert rep["seed"] == 7
     # explicit flag beats the config file
-    assert main(["--N", "128", "verify", "--suite", "core"]) == 0
+    assert main(["verify", "--suite", "core", "--N", "128"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["grid"]["N"] == 128
     # the truncation radius is fixed in code, so its old flag is a usage error
     with pytest.raises(SystemExit) as exc:
-        main(["--r-factor", "4", "verify", "--suite", "core"])
+        main(["verify", "--suite", "core", "--r-factor", "4"])
     assert exc.value.code == 2
     capsys.readouterr()
 
@@ -290,8 +290,35 @@ def test_config_file_cannot_loosen_verify_tolerances(workdir, capsys, key):
     # turning a failing check into a pass
     cfile = workdir / "loose.txt"
     cfile.write_text(f"{key} = 1\n")
-    assert main(["--config", str(cfile), "verify", "--suite", "operators"]) == 2
+    assert main(["verify", "--suite", "operators", "--config", str(cfile)]) == 2
     assert f"unknown key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", [
+    ["symplectic", "--op", "cayley", "--input", "s.json"],
+    ["indices", "--input", "w.json"],
+    ["apply", "--word", "word.json", "--in", "f.csv", "--out", "g.csv"],
+    ["wigner", "--f", "f.csv", "--out", "W.csv"],
+    ["phase-apply", "--word", "word.json", "--in", "F.csv", "--out", "G.csv"],
+    ["moyal", "--f", "F.csv", "--g", "F.csv"],
+    ["s0", "--psi", "f.csv"],
+    ["asymptotic", "--alpha", "2.0944", "--hbar-list", "0.1", "--z", "0.7,-0.4"],
+], ids=lambda cmd: cmd[0])
+def test_run_settings_only_on_commands_that_read_them(workdir, capsys, monkeypatch, cmd):
+    # only verify and demo-rotation read the run settings; elsewhere a run
+    # setting would be dropped unread, so it is a usage error
+    monkeypatch.chdir(workdir)
+    with pytest.raises(SystemExit) as exc:
+        main(cmd + ["--hbar", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --hbar 0.5" in capsys.readouterr().err
+
+
+def test_run_settings_go_after_the_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--N", "128", "verify", "--suite", "core"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_exit_code_numerical_domain(workdir, capsys):

@@ -211,13 +211,25 @@ def test_heisenberg_weyl_shift_and_norm(grid, phi0):
 
 def test_heisenberg_weyl_off_lattice_matches_closed_form(grid, phi0):
     # x0 = 1.2345 is a fraction of a cell, so the shift reads the
-    # trigonometric interpolant (3.0e-12 relative here)
+    # trigonometric interpolant through a spectral ramp (7e-16 relative here)
     z0 = np.array([1.2345, 0.7])
     out = heisenberg_weyl(phi0, z0)
     x = grid.axis()
     expected = (np.exp(1j * (z0[1] * x - 0.5 * z0[1] * z0[0]) / HBAR)
                 * (math.pi * HBAR) ** -0.25 * np.exp(-(x - z0[0]) ** 2 / (2 * HBAR)))
-    assert np.max(np.abs(out.values - expected)) / np.max(np.abs(expected)) < 1e-10
+    assert np.max(np.abs(out.values - expected)) / np.max(np.abs(expected)) < 1e-13
+
+
+@pytest.mark.parametrize("cells", [7.3, -7.3, 5.6, -5.6],
+                         ids=["+7+0.3", "-7-0.3", "+6-0.4", "-6+0.4"])
+def test_heisenberg_weyl_mixed_shift_matches_closed_form(grid, phi0, cells):
+    # whole cells plus a remainder of either sign: the ramp, then the index move
+    z0 = np.array([cells * grid.dx, -0.4])
+    out = heisenberg_weyl(phi0, z0)
+    x = grid.axis()
+    expected = (np.exp(1j * (z0[1] * x - 0.5 * z0[1] * z0[0]) / HBAR)
+                * (math.pi * HBAR) ** -0.25 * np.exp(-(x - z0[0]) ** 2 / (2 * HBAR)))
+    assert np.max(np.abs(out.values - expected)) / np.max(np.abs(expected)) < 1e-13
 
 
 def test_weyl_cocycle_aligned(grid, phi0):
@@ -345,6 +357,9 @@ def test_bochner_forms_agree(grid, form):
     ref = qfio_apply(w, 0, f)
     err = np.max(np.abs(out.values - ref.values)) / np.max(np.abs(ref.values))
     assert err < 1e-3
+    # the twisted row integrates the Cayley row's chirp on the same lattice
+    base = bochner_apply(s, nu, f, form="s1")
+    assert np.max(np.abs(out.values - base.values)) / np.max(np.abs(base.values)) < 1e-12
 
 
 def test_bochner_generic_symplectic_with_composed_index(grid, phi0):

@@ -228,9 +228,9 @@ def test_integral_form_routes_reject_unknown_form_names(route, names):
 
 
 def test_integral_form_rows_are_one_integral():
-    # z0 = K u carries the Cayley row into the twisted row: K^T M_S K is the
-    # twisted chirp -(JS + (JS)^T)/2, and the Jacobian |det K| turns the
-    # Cayley prefactor into the twisted one
+    # z0 = (S - I) u carries the twisted chirp -(JS + (JS)^T)/2 and prefactor
+    # i^nu sqrt|det(S - I)| of u into z0 coordinates, where they must equal
+    # the Cayley row's M_S and i^nu / sqrt|det(S - I)|
     rng = np.random.default_rng(37)
     checked = 0
     while checked < 60:
@@ -239,14 +239,12 @@ def test_integral_form_rows_are_one_integral():
         if abs(np.linalg.det(s.entries - np.eye(2 * n))) < 1e-3:
             continue
         nu = int(rng.integers(4))
-        eye, m_s, pref_c = _integral_form(s, nu, twisted=False)
-        k, sigma, pref_t = _integral_form(s, nu, twisted=True)
-        np.testing.assert_array_equal(eye, np.eye(2 * n))
+        m_s, pref_c = _integral_form(s, nu, twisted=False)
+        m_t, pref_t = _integral_form(s, nu, twisted=True)
         np.testing.assert_array_equal(m_s, cayley(s))
-        np.testing.assert_array_equal(k, s.entries - np.eye(2 * n))
-        scale = max(1.0, float(np.max(np.abs(sigma))))
-        assert np.max(np.abs(k.T @ m_s @ k - sigma)) <= 1e-12 * scale
-        assert abs(abs(np.linalg.det(k)) * pref_c - pref_t) <= 1e-12 * abs(pref_t)
+        np.testing.assert_array_equal(m_t, m_t.T)
+        assert np.max(np.abs(m_t - m_s)) <= 1e-12 * float(np.max(np.abs(m_s)))
+        assert abs(pref_t - pref_c) <= 1e-12 * abs(pref_c)
         checked += 1
 
 
