@@ -1,0 +1,223 @@
+"""Write a BENCH_<n>.json evidence file from perfbench runs.
+
+Run from the root of a source checkout:
+
+    python3 tools/bench.py --out BENCH_1.json --seeds 10 11 12 13 14
+    python3 tools/bench.py --out BENCH_1.json --parent ../parent --seeds 10 11 12 13 14
+
+For every seed and every workload of ``BENCHMARK.json`` it runs
+``python3 perfbench/run.py`` untraced for the file's ``run_seconds``, and
+once per workload traced (at the first seed).  With ``--parent`` it
+runs each command in the parent checkout too, alternating which side goes
+first, so that drift of a shared machine falls on both sides alike.  It
+also times the n = 2, N = 64 quadrature oracle on perfbench's draws
+(``rng_for(seed, 3)``, seeds 0-7) against its closed-form image.
+
+The file records the machine (``nproc``, the CPU model from
+``/proc/cpuinfo``), the Python and NumPy versions, each checkout's git
+revision and the tracked files modified in it, every command line and
+every result line verbatim, plus per-side medians and quartiles of the
+end-to-end metrics and, per metric, the pairs the change won.  Exits 1
+when a run fails, prints no strict-JSON result line, or reports failed
+operations.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Best of three calls per draw; the reference is perfbench's closed form.
+QUADRATURE_SNIPPET = r"""
+import json, time
+import numpy as np
+import inputs, reference as ref
+import metaplectic as mp
+grid = mp.Grid(2, 64, 8.0)
+x = ref.axis(64, 8.0)
+mesh = list(np.meshgrid(x, x, indexing="ij"))
+alpha0, c0 = ref.standard_gaussian(2, 1.0)
+f = mp.SampledFunction(grid, 1.0, ref.gaussian_values(alpha0, c0, mesh, 1.0))
+rows = []
+for seed in range(8):
+    P, L, Q = inputs.free_generating(2, inputs.rng_for(seed, 3), pq_scale=0.5,
+                                     l_pert=0.3, max_singular=2.0)
+    m = inputs.branch(L)
+    w = mp.GeneratingFunction(P, L, Q)
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        out = mp.qfio_apply(w, m, f, method="quadrature").values
+        times.append(time.perf_counter() - t0)
+    exact = ref.gaussian_values(*ref.gaussian_through(P, L, Q, m, alpha0, c0, 1.0), mesh, 1.0)
+    err = float(np.max(np.abs(out - exact)) / np.max(np.abs(exact)))
+    rows.append({"seed": seed, "ms": 1e3 * min(times), "closed_form_error": err})
+print(json.dumps(rows))
+"""
+
+
+def _reject(token):
+    raise ValueError(f"non-finite {token} in the result line")
+
+
+def machine() -> dict:
+    model = ""
+    with open("/proc/cpuinfo", encoding="utf-8") as fh:
+        for line in fh:
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    versions = subprocess.run(
+        ["python3", "-c", "import sys, numpy; print(sys.version.split()[0], numpy.__version__)"],
+        capture_output=True, text=True, check=True).stdout.split()
+    return {"nproc": len(os.sched_getaffinity(0)), "cpu_model": model,
+            "platform": platform.platform(), "python": versions[0], "numpy": versions[1]}
+
+
+def revision(checkout: str) -> dict:
+    """The checkout's commit and the tracked files that differ from it."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True,
+                              check=True).stdout
+    return {"head": git("rev-parse", "HEAD").strip(),
+            "modified": sorted(git("diff", "--name-only", "HEAD").split())}
+
+
+def run_perfbench(side: str, checkout: str, workload: str, seed: int, seconds: float,
+                  trace: int) -> dict:
+    cmd = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", f"{seconds:g}", "--trace", str(trace)]
+    t0 = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    row = {"side": side, "workload": workload, "seed": seed, "trace": trace,
+           "command": " ".join(cmd), "process_s": round(time.perf_counter() - t0, 3),
+           "returncode": proc.returncode,
+           "failure_lines": [ln for ln in proc.stderr.splitlines()
+                             if ln.startswith(("operation ", "check failed"))]}
+    lines = proc.stdout.strip().splitlines()
+    row["result_line"] = lines[-1] if lines else ""
+    try:
+        result = json.loads(row["result_line"], parse_constant=_reject)
+        row["ok"] = (proc.returncode == 0 and result["correct"] is True
+                     and result["failed"] == 0 and not row["failure_lines"])
+    except (ValueError, KeyError, TypeError):
+        row["ok"] = False
+    return row
+
+
+def run_quadrature(side: str, checkout: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(checkout, "src"),
+                                         os.path.join(checkout, "perfbench")])
+    env.update({var: "1" for var in THREAD_VARS})
+    proc = subprocess.run(["python3", "-c", QUADRATURE_SNIPPET], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    return {"side": side, "call": "qfio_apply quadrature, n = 2, N = 64, full L",
+            "command": "python3 -c QUADRATURE_SNIPPET (tools/bench.py)",
+            "returncode": proc.returncode, "result_line": proc.stdout.strip(),
+            "ok": proc.returncode == 0}
+
+
+def summarize(rows: list, better: dict) -> dict:
+    """Per workload and side: median and quartiles of each end-to-end metric
+    over the untraced rows, and per-side counts of failed / attempted; with
+    both sides, per metric the number of seeds where the change read better
+    (ties count for neither).  ``better`` maps each end-to-end metric to
+    "lower" or "higher", as ``BENCHMARK.json`` does."""
+    out = {}
+    for row in rows:
+        if row["trace"] or not row["ok"]:
+            continue
+        result = json.loads(row["result_line"])
+        entry = out.setdefault(row["workload"], {}).setdefault(
+            row["side"], {"runs": 0, "failed": 0, "attempted": 0,
+                          **{name: [] for name in better}})
+        entry["runs"] += 1
+        entry["failed"] += result["failed"]
+        entry["attempted"] += result["attempted"]
+        for name in better:
+            entry[name].append(result["metrics"][name]["value"])
+    for sides in out.values():
+        for entry in sides.values():
+            for name in better:
+                vals = entry[name]
+                q = statistics.quantiles(vals, n=4) if len(vals) > 1 else vals * 3
+                entry[name] = {"median": statistics.median(vals), "q1": q[0], "q3": q[2],
+                               "values": vals}
+    by_pair = {}
+    for row in rows:
+        if not row["trace"] and row["ok"]:
+            metrics = json.loads(row["result_line"])["metrics"]
+            by_pair.setdefault((row["workload"], row["seed"]), {})[row["side"]] = metrics
+    for (workload, _), pair in by_pair.items():
+        if len(pair) < 2:
+            continue
+        wins = out[workload].setdefault("change_won", {"pairs": 0})
+        wins["pairs"] += 1
+        for name, direction in better.items():
+            parent, change = pair["parent"][name]["value"], pair["change"][name]["value"]
+            won = change > parent if direction == "higher" else change < parent
+            wins[name] = wins.get(name, 0) + int(won)
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", required=True, help="JSON file to write")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[0])
+    ap.add_argument("--parent", help="checkout of the parent revision, run alternately")
+    args = ap.parse_args(argv)
+
+    here = os.getcwd()
+    with open(os.path.join(here, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = float(spec["run_seconds"])
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    sides = [("change", here)]
+    if args.parent:
+        sides.insert(0, ("parent", os.path.abspath(args.parent)))
+    for _, checkout in sides:
+        if not os.path.isfile(os.path.join(checkout, "perfbench", "run.py")):
+            print(f"bench: no perfbench/run.py under {checkout}", file=sys.stderr)
+            return 2
+
+    doc = {"machine": machine(), "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+           "revisions": {side: revision(checkout) for side, checkout in sides},
+           "seconds": seconds, "seeds": args.seeds, "runs": [], "per_call": []}
+    flip = 0
+    for seed in args.seeds:
+        for workload in workloads:
+            order = sides if flip % 2 == 0 else sides[::-1]
+            flip += 1
+            for side, checkout in order:
+                row = run_perfbench(side, checkout, workload, seed, seconds, 0)
+                doc["runs"].append(row)
+                print(f"bench: {side} {workload} seed {seed}: {row['result_line'][:120]}",
+                      file=sys.stderr)
+    for workload in workloads:
+        for side, checkout in sides:
+            doc["runs"].append(run_perfbench(side, checkout, workload, args.seeds[0], seconds, 1))
+    for side, checkout in sides:
+        doc["per_call"].append(run_quadrature(side, checkout))
+    doc["summary"] = summarize(doc["runs"], better)
+
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    bad = [r for r in doc["runs"] + doc["per_call"] if not r["ok"]]
+    for row in bad:
+        print(f"bench: not ok: {row['side']} {row['command']}", file=sys.stderr)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
