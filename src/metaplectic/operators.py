@@ -24,11 +24,12 @@ independent realizations are provided:
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
 from . import config
-from .errors import FactorizationFailedError, GridMismatchError
+from .errors import BandwidthExceededWarning, FactorizationFailedError, GridMismatchError
 from .grids import (SampledFunction, _box_radius, _centered_fft, _integer_shift,
                     _next_fast_len, _raised_cosine, _support_box, _translate,
                     _warn_at_edge, interpolate_values)
@@ -226,8 +227,9 @@ def _qfio_quadrature(w: GeneratingFunction, m: int, f: SampledFunction) -> Sampl
     Sum_a e00[a, t] e01[a, v] Sum_b rhs[a, b] e10[b, t] e11[b, v]: the N^3
     array rhs[a, b] e00[a, t] e10[b, t] meets e11 in one batched matmul and
     e01 in one contraction over a.  Cost O(N^{n+2}).  Targets with
-    |(L x)_i| >= pi hbar / dx are wrapped, as by any trapezoid sum, not
-    zeroed as in the factored route.
+    max_i |(L x)_i| >= pi hbar / dx are wrapped, as by any trapezoid sum, not
+    zeroed as in the factored route; it warns (BandwidthExceededWarning)
+    when the output there exceeds config.TAIL_TOL times its peak.
     """
     grid = f.grid
     total = grid.N ** grid.n
@@ -252,7 +254,16 @@ def _qfio_quadrature(w: GeneratingFunction, m: int, f: SampledFunction) -> Sampl
         * np.exp(-1j * math.pi * grid.n / 4.0)
         * (1j ** m) * math.sqrt(abs(np.linalg.det(w.L)))
     )
-    return f.with_values(pref * out * np.exp(1j * w.value(pts, zero) / f.hbar))
+    out = pref * out * np.exp(1j * w.value(pts, zero) / f.hbar)
+    wrapped = np.any(np.abs(pts @ w.L.T) >= math.pi * f.hbar / grid.dx, axis=-1)
+    tail = float(np.max(np.abs(out[wrapped]), initial=0.0))
+    peak = float(np.max(np.abs(out)))
+    if tail > config.TAIL_TOL * peak:
+        warnings.warn(
+            "operator output reaches the alias limit |L x| = pi hbar / dx; increase N or "
+            f"decrease X: relative tail {tail / peak:.2e} > {config.TAIL_TOL:g}; results may "
+            "lose accuracy", BandwidthExceededWarning, stacklevel=3)
+    return f.with_values(out)
 
 
 def qfio_apply(w: GeneratingFunction, m: int, f: SampledFunction,
@@ -383,6 +394,22 @@ def support_radius(f: SampledFunction) -> float:
     return _box_radius(box, f.grid.axes())
 
 
+def _cross_chirp(theta: float, k_max: int, j_max: int, col: np.ndarray) -> np.ndarray:
+    """exp(i theta k j + i col_j) for k in [-k_max, k_max] (rows) and j in
+    [-j_max, j_max] (columns), from two small tables instead of one exp per
+    entry: with k = k_hi + k_lo, k_hi = -k_max + B q and 0 <= k_lo < B ~ sqrt(K),
+    it is exp(i theta k_hi j) exp(i theta k_lo j + i col_j), about 2 sqrt(K) J
+    exponentials for the K x J lattice.  No phase exceeds |theta| k_max j_max
+    plus |col|, the size of the direct phases."""
+    rows = 2 * k_max + 1
+    block = math.isqrt(rows - 1) + 1
+    j = np.arange(-j_max, j_max + 1)
+    k_hi = -k_max + block * np.arange(-(-rows // block))
+    hi = np.exp(1j * (theta * np.multiply.outer(k_hi, j)))
+    lo = np.exp(1j * (theta * np.multiply.outer(np.arange(block), j) + col))
+    return (hi[:, None, :] * lo).reshape(-1, j.size)[:rows]
+
+
 def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
                   form: str = "s1") -> SampledFunction:
     """Apply S to f through its phase-space (Bochner) integral
@@ -399,6 +426,14 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
     multiples, p0 over a Nyquist-resolved uniform lattice.  One degree of
     freedom only.  Independent of the (W, m) data: uses (S, nu) and the
     Cayley transform, which is what makes it an oracle for the index laws.
+
+    The x0 x p0 coefficients are those of the direct construction on the
+    same lattice, built from separable pieces: the roll-off is evaluated on
+    the quadrant x0, p0 >= 0 and mirrored (bit-identical), and the phase
+    (m00 x0^2 / 2 + (m01 - 1/2) x0 p0 + m11 p0^2 / 2) / hbar splits into a
+    row chirp, applied per x0 row in the shift loop, a column chirp, and
+    the cross term, taken from a two-level table (``_cross_chirp``).  An
+    exp or hypot over the full lattice is never evaluated.
     """
     if f.grid.n != 1:
         raise GridMismatchError("bochner_apply supports n = 1 only")
@@ -425,13 +460,20 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
     j_max = int(math.ceil(radius / dp0))
     p0 = np.arange(-j_max, j_max + 1) * dp0
 
-    xx, pp = np.meshgrid(x0, p0, indexing="ij")
-    chi = _raised_cosine(np.hypot(xx, pp) / radius, config.CUTOFF_FRACTION)
+    # the roll-off on the quadrant x0, p0 >= 0, mirrored: (-k) dx = -(k dx)
+    # exactly, so the mirror is bit-identical to the roll-off of the lattice
+    chi = _raised_cosine(np.hypot.outer(x0[k_max:], p0[j_max:]) / radius,
+                         config.CUTOFF_FRACTION)
+    chi = np.concatenate((chi[:0:-1], chi), axis=0)
+    chi = np.concatenate((chi[:, :0:-1], chi), axis=1)
 
-    # the chirp z0.M z0 / 2 and the shift phase of T(z0)
-    quad = 0.5 * (m_s[0, 0] * xx * xx + 2.0 * m_s[0, 1] * xx * pp
-                  + m_s[1, 1] * pp * pp)
-    coeff = np.exp(1j * (quad - 0.5 * pp * xx) / hbar) * chi
+    # the chirp z0.M z0 / 2 and the shift phase -p0 x0 / 2 of T(z0): the
+    # row chirp m00 x0^2 / 2 goes to the shift loop, the column chirp and
+    # the cross term (m01 - 1/2) x0 p0 come from the two-level table
+    row_chirp = np.exp(0.5j * m_s[0, 0] * x0 * x0 / hbar)
+    theta = (m_s[0, 1] - 0.5) * dx * dp0 / hbar
+    coeff = _cross_chirp(theta, k_max, j_max, 0.5 * m_s[1, 1] * p0 * p0 / hbar)
+    coeff *= chi
 
     # inner p0 transform: for each x0 row, sum_p0 coeff exp(i p0 x / hbar)
     inner = _fourier_sum_axis(
@@ -443,7 +485,7 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
     fvals = f.values
     for idx in range(x0.size):
         shift = idx - k_max
-        out += _integer_shift(fvals, (shift,)) * inner[idx]
+        out += _integer_shift(fvals, (shift,)) * (row_chirp[idx] * inner[idx])
 
     out *= pref / (2.0 * math.pi * hbar) * dx * dp0
     return f.with_values(out)

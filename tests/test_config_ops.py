@@ -1,6 +1,7 @@
 """Configuration-space operators: chirps, scaled Fourier, QFIOs, words,
 Heisenberg-Weyl shifts, and the phase-space (Bochner) realization."""
 
+import contextlib
 import math
 import os
 import subprocess
@@ -21,6 +22,7 @@ from metaplectic import (
     factor_pair,
     free_from_generating,
     gaussian,
+    generating_from_free,
     GeneratingFunction,
     Grid,
     GridMismatchError,
@@ -39,8 +41,10 @@ from metaplectic import (
     scale_op,
     support_radius,
 )
-from metaplectic.grids import _next_fast_len
-from metaplectic.operators import _fourier_sum_axis
+from metaplectic import config
+from metaplectic.grids import _integer_shift, _next_fast_len, _raised_cosine
+from metaplectic.operators import _cross_chirp, _fourier_sum_axis
+from metaplectic.symplectic import _integral_form
 
 HBAR = 1.0
 
@@ -385,6 +389,71 @@ def test_bochner_generic_symplectic_with_composed_index(grid, phi0):
         assert err < 1e-3
 
 
+def _bochner_dense(s, nu, f, form):
+    """bochner_apply with its coefficient built directly on the full x0 x p0
+    mesh: one hypot for the roll-off and one exp for the whole phase, then
+    the same p0 chirp-z pass and shift loop."""
+    m_s, pref = _integral_form(s, nu, twisted=form != "s1")
+    hbar, grid = f.hbar, f.grid
+    dx = grid.dx
+    r_f = support_radius(f)
+    radius = min(config.R_FACTOR * r_f, grid.X + r_f)
+    k_max = int(math.floor(radius / dx))
+    x0 = np.arange(-k_max, k_max + 1) * dx
+    slope = (abs(m_s[1, 1]) * radius + abs(m_s[0, 1]) * radius + grid.X + 0.5 * radius) / hbar
+    dp0 = math.pi / (2.5 * max(slope, 1.0 / radius))
+    j_max = int(math.ceil(radius / dp0))
+    p0 = np.arange(-j_max, j_max + 1) * dp0
+    xx, pp = np.meshgrid(x0, p0, indexing="ij")
+    chi = _raised_cosine(np.hypot(xx, pp) / radius, config.CUTOFF_FRACTION)
+    quad = 0.5 * (m_s[0, 0] * xx * xx + 2.0 * m_s[0, 1] * xx * pp + m_s[1, 1] * pp * pp)
+    coeff = np.exp(1j * (quad - 0.5 * pp * xx) / hbar) * chi
+    inner = _fourier_sum_axis(coeff, 1, x0=float(p0[0]), dx=dp0, p0=-(grid.N // 2) * dx,
+                              dp=dx, n_out=grid.N, hbar=hbar, sign=1)
+    out = np.zeros(grid.N, dtype=complex)
+    for idx in range(x0.size):
+        out += _integer_shift(f.values, (idx - k_max,)) * inner[idx]
+    return out * pref / (2.0 * math.pi * hbar) * dx * dp0
+
+
+@pytest.mark.parametrize("form", ["s1", "s2"])
+def test_bochner_matches_dense_coefficient_lattice(grid, form):
+    # a rotation's M has m01 = 0; only the random S exercise the sign of the
+    # cross term (m01 - 1/2) x0 p0 against the row and column chirps
+    mats = [rotation(math.pi / 2), rotation(2 * math.pi / 3)]
+    rng = np.random.default_rng(19)
+    while len(mats) < 7:
+        s = random_symplectic(1, rng)
+        if (np.linalg.svd(s.entries, compute_uv=False)[0] < 1.6
+                and abs(np.linalg.det(s.entries - np.eye(2))) > 0.3):
+            mats.append(s)
+    assert any(abs(_integral_form(s, 0, twisted=False)[0][0, 1]) > 0.1 for s in mats)
+    for k in (0, 1):
+        f = hermite_function(k, grid, HBAR)
+        for s in mats:
+            w = generating_from_free(s)
+            nu = conley_zehnder(w, 0 if np.linalg.det(w.L) > 0 else 1)
+            out = bochner_apply(s, nu, f, form=form).values
+            ref = _bochner_dense(s, nu, f, form)
+            assert np.max(np.abs(out - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("k_max, j_max", [(0, 0), (0, 3), (1, 2), (4, 5), (13, 7), (40, 9)])
+def test_cross_chirp_matches_direct_exp(k_max, j_max):
+    # K = 1, 3, 9, 27 and 81 rows: 3 and 27 cut the last block short (2 x 2,
+    # 5 x 6), the squares fill their blocks exactly
+    theta = -0.0371
+    j = np.arange(-j_max, j_max + 1)
+    col = 0.013 * j * j
+    k = np.arange(-k_max, k_max + 1)[:, None]
+    phase = theta * k * j + col
+    table = _cross_chirp(theta, k_max, j_max, col)
+    assert table.shape == phase.shape
+    # rounding of a phase is eps |phase|, and the table multiplies two factors
+    tol = 4 * np.finfo(float).eps * (1 + np.max(np.abs(phase)))
+    np.testing.assert_allclose(table, np.exp(1j * phase), rtol=0, atol=tol)
+
+
 def test_qfio_rejects_frame_mismatch(grid):
     other = Grid(n=1, N=256, X=12.0)
     f = gaussian(other, HBAR)
@@ -472,6 +541,13 @@ def _gaussian_image_nd(w, m, p0, mesh, hbar):
     return c * np.exp((1j * chirp - quad) / (2 * hbar))
 
 
+@contextlib.contextmanager
+def _no_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
 @pytest.mark.parametrize("hbar", [1.0, 0.5])
 def test_quadrature_n2_full_l_matches_closed_form(hbar):
     # The sum over x'_i has frequency (L x - p0)_i / hbar, so it resolves
@@ -479,8 +555,9 @@ def test_quadrature_n2_full_l_matches_closed_form(hbar):
     # factored route.  At hbar = 1 the band holds the whole grid; at
     # hbar = 0.5 it holds 42-79 % of it, and beyond it the sum wraps (copies
     # of 1e-8 to 5e-2 relative on these draws), where no closed form is the
-    # oracle's target.  The momentum p0 makes the input odd in part,
-    # so a sign error in L cannot hide behind x' -> -x'.
+    # oracle's target, and the oracle warns (out-of-band output 1e-8 to 5e-2
+    # of its peak); at hbar = 1 it must not.  The momentum p0 makes the
+    # input odd in part, so a sign error in L cannot hide behind x' -> -x'.
     grid = Grid(n=2, N=64, X=8.0)
     mesh = grid.meshgrid()
     p0 = np.array([0.6, -0.4])
@@ -494,7 +571,9 @@ def test_quadrature_n2_full_l_matches_closed_form(hbar):
         w = GeneratingFunction(p, l, q)
         # both branches of the parity of det L
         m = (0 if np.linalg.det(l) > 0 else 1) + 2 * (k % 2)
-        out = qfio_apply(w, m, f, method="quadrature").values
+        with (pytest.warns(BandwidthExceededWarning, match="increase N or decrease X")
+              if hbar < 1.0 else _no_warnings()):
+            out = qfio_apply(w, m, f, method="quadrature").values
         ref = _gaussian_image_nd(w, m, p0, mesh, hbar)
         y = np.einsum("ik,k...->i...", l, np.array(mesh)) - p0[:, None, None]
         resolved = np.all(np.abs(y) < band, axis=0)

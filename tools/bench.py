@@ -10,8 +10,11 @@ For every seed and every workload of ``BENCHMARK.json`` it runs
 once per workload traced (at the first seed).  With ``--parent`` it
 runs each command in the parent checkout too, alternating which side goes
 first, so that drift of a shared machine falls on both sides alike.  It
-also times the n = 2, N = 64 quadrature oracle on perfbench's draws
-(``rng_for(seed, 3)``, seeds 0-7) against its closed-form image.
+also times two per-call rows, best of three calls each: the n = 2, N = 64
+quadrature oracle on perfbench's draws (``rng_for(seed, 3)``, seeds 0-7)
+against its closed-form image, and the six ``bochner_apply`` calls of
+``config_space`` (forms s1, s2, s3 on the pi/2 and 2pi/3 rotations of
+phi0, N = 512, X = 12) against the Mehler eigenphase exp(-i alpha / 2) phi0.
 
 The file records the machine (``nproc``, the CPU model from
 ``/proc/cpuinfo``), the Python and NumPy versions, each checkout's git
@@ -63,6 +66,36 @@ for seed in range(8):
 print(json.dumps(rows))
 """
 
+# The six Bochner calls of config_space, best of three each; the reference
+# is the Mehler eigenphase of phi0.
+BOCHNER_SNIPPET = r"""
+import json, math, time
+import numpy as np
+import reference as ref
+import metaplectic as mp
+phi0 = ref.hermite(0, ref.axis(512, 12.0), 1.0)
+f = mp.SampledFunction(mp.Grid(1, 512, 12.0), 1.0, phi0)
+rows = []
+for alpha in (math.pi / 2, 2 * math.pi / 3):
+    s = mp.rotation(alpha)
+    nu = mp.conley_zehnder(mp.rotation_generating(alpha), 0)
+    for form in ("s1", "s2", "s3"):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            out = mp.bochner_apply(s, nu, f, form=form).values
+            times.append(time.perf_counter() - t0)
+        err = ref.rel_err(out, np.exp(-0.5j * alpha) * phi0)
+        rows.append({"form": form, "alpha": alpha, "ms": 1e3 * min(times), "mehler_error": err})
+print(json.dumps(rows))
+"""
+
+PER_CALL = (
+    ("qfio_apply quadrature, n = 2, N = 64, full L", "QUADRATURE_SNIPPET", QUADRATURE_SNIPPET),
+    ("bochner_apply s1, s2, s3 on rotations of phi0, N = 512", "BOCHNER_SNIPPET",
+     BOCHNER_SNIPPET),
+)
+
 
 def _reject(token):
     raise ValueError(f"non-finite {token} in the result line")
@@ -113,15 +146,14 @@ def run_perfbench(side: str, checkout: str, workload: str, seed: int, seconds: f
     return row
 
 
-def run_quadrature(side: str, checkout: str) -> dict:
+def run_snippet(side: str, checkout: str, call: str, name: str, snippet: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([os.path.join(checkout, "src"),
                                          os.path.join(checkout, "perfbench")])
     env.update({var: "1" for var in THREAD_VARS})
-    proc = subprocess.run(["python3", "-c", QUADRATURE_SNIPPET], cwd=checkout, env=env,
+    proc = subprocess.run(["python3", "-c", snippet], cwd=checkout, env=env,
                           capture_output=True, text=True)
-    return {"side": side, "call": "qfio_apply quadrature, n = 2, N = 64, full L",
-            "command": "python3 -c QUADRATURE_SNIPPET (tools/bench.py)",
+    return {"side": side, "call": call, "command": f"python3 -c {name} (tools/bench.py)",
             "returncode": proc.returncode, "result_line": proc.stdout.strip(),
             "ok": proc.returncode == 0}
 
@@ -206,8 +238,9 @@ def main(argv=None) -> int:
     for workload in workloads:
         for side, checkout in sides:
             doc["runs"].append(run_perfbench(side, checkout, workload, args.seeds[0], seconds, 1))
-    for side, checkout in sides:
-        doc["per_call"].append(run_quadrature(side, checkout))
+    for call in PER_CALL:
+        for side, checkout in sides:
+            doc["per_call"].append(run_snippet(side, checkout, *call))
     doc["summary"] = summarize(doc["runs"], better)
 
     with open(args.out, "w", encoding="utf-8") as fh:
