@@ -25,7 +25,7 @@ import numpy as np
 
 from . import config
 from .errors import DegeneratePhaseError, TruncationError
-from .grids import _BLOCK_BYTES, _raised_cosine, _trapezoid
+from .grids import _BLOCK_BYTES, _cross_chirp, _smooth_cutoff, _trapezoid
 from .indices import signature
 from .symplectic import SymplecticMatrix, _integral_form, cayley, standard_j
 
@@ -98,7 +98,7 @@ def oscillatory_quadrature(phase: QuadraticPhase, amplitude, lam: float,
                            radius: float, rel_tol: float = 1e-6,
                            max_doublings: int = 8) -> complex:
     """Direct trapezoid reference for Integral e^{i lam phi} a dx over
-    |x| <= radius with a raised-cosine cutoff over its last 20 percent
+    |x| <= radius with a C-infinity cutoff over its last 20 percent
     (``config.CUTOFF_FRACTION``).
 
     The integrand is sampled once on an (n0+1)-point lattice per axis,
@@ -124,34 +124,32 @@ def oscillatory_quadrature(phase: QuadraticPhase, amplitude, lam: float,
         if k == 1:
             vals = (np.asarray(amplitude(ax[:, None]), dtype=complex).reshape(-1)
                     * np.exp(1j * lam * phase.value(ax[:, None]))
-                    * _raised_cosine(np.abs(ax) / radius, config.CUTOFF_FRACTION))
+                    * _smooth_cutoff(np.abs(ax) / radius, config.CUTOFF_FRACTION))
             total = complex(np.sum(vals * w))
             witness = complex(np.sum(vals * w2))
         else:
             # split the quadratic phase into per-axis factors plus a rank-one
-            # cross term, and use a separable (product) raised-cosine cutoff,
-            # so only the amplitude and the cross factor touch the full mesh;
-            # rows are processed in chunks of an even count to bound memory at
-            # high resolution, so each chunk starts on a witness row
+            # cross term, and use a separable (product) cutoff, so only the
+            # amplitude and the cross factor exp(i lam m12 h^2 k j), taken
+            # from the two-level table, touch the full mesh; rows are
+            # processed in chunks of an even count to bound memory at high
+            # resolution, so each chunk starts on a witness row
             m11, m12, m22 = phase.m[0, 0], phase.m[0, 1], phase.m[1, 1]
             b1, b2 = phase.b
-            cut1 = _raised_cosine(np.abs(ax) / radius, config.CUTOFF_FRACTION)
+            cut1 = _smooth_cutoff(np.abs(ax) / radius, config.CUTOFF_FRACTION)
             f1 = cut1 * np.exp(1j * lam * (0.5 * m11 * ax * ax + b1 * ax + phase.c))
             f2 = cut1 * np.exp(1j * lam * (0.5 * m22 * ax * ax + b2 * ax))
             e1, e2 = w * f1, w * f2
             c1, c2 = w2 * f1, (w2 * f2)[::2]
+            theta = lam * m12 * (2.0 * radius / n0) ** 2
             total = witness = 0.0 + 0.0j
             rows = max(2, _BLOCK_BYTES // (16 * (n0 + 1)) // 2 * 2)
             for lo in range(0, n0 + 1, rows):
                 hi = min(lo + rows, n0 + 1)
-                g1 = ax[lo:hi, None]
-                g2 = ax[None, :]
-                pts = np.stack(np.broadcast_arrays(
-                    np.broadcast_to(g1, (hi - lo, n0 + 1)),
-                    np.broadcast_to(g2, (hi - lo, n0 + 1))), axis=-1)
+                pts = np.stack(np.broadcast_arrays(ax[lo:hi, None], ax), axis=-1)
                 vals = np.asarray(amplitude(pts), dtype=complex)
                 if abs(m12) > 0:
-                    vals *= np.exp((1j * lam * m12) * (g1 * g2))
+                    vals *= _cross_chirp(theta, lo - n0 // 2, hi - n0 // 2, n0 // 2, 0.0)
                 total += complex(np.einsum("i,ij,j->", e1[lo:hi], vals, e2))
                 witness += complex(np.einsum("i,ij,j->", c1[lo:hi:2], vals[::2, ::2], c2))
         scale = max(abs(total), abs(witness), 1e-300)

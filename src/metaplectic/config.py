@@ -21,7 +21,7 @@ DET_FLOOR = 1e-6     # gate on |det(S - I)| of the phase-space integral forms
 # CROSS_TOL and BOCHNER_TOL directly, so no config file can loosen them.
 FFT_TOL = 1e-8       # unitarity of the hbar-scaled Fourier transform
 CROSS_TOL = 1e-5     # factored vs. quadrature operator agreement
-BOCHNER_TOL = 1e-3   # phase-space (Bochner) quadrature agreement
+BOCHNER_TOL = 1e-12  # phase-space (Bochner) quadrature agreement
 TAIL_TOL = 1e-12     # admissibility: relative tail size at the grid edge
 
 # Grid defaults.
@@ -31,7 +31,7 @@ DEFAULT_HBAR = 1.0
 
 # Truncation of the phase-space quadratures (Bochner, Bopp, oscillatory).
 R_FACTOR = 3.0           # truncation radius = R_FACTOR * support radius
-CUTOFF_FRACTION = 0.2    # raised-cosine roll-off over the last 20 percent
+CUTOFF_FRACTION = 0.2    # C-infinity roll-off over the last 20 percent
 
 ENV_CONFIG = "METAPLECTIC_CONFIG"
 

@@ -317,6 +317,22 @@ def _warn_at_edge(values: np.ndarray, what: str, tol: float = config.TAIL_TOL) -
         )
 
 
+def _cross_chirp(theta: float, k_lo: int, k_hi: int, j_max: int, col) -> np.ndarray:
+    """exp(i theta k j + i col_j) for k in [k_lo, k_hi) (rows) and j in
+    [-j_max, j_max] (columns), from two small tables instead of one exp per
+    entry: with k = k_top + k_low, k_top = k_lo + B q and 0 <= k_low < B ~ sqrt(K),
+    it is exp(i theta k_top j) exp(i theta k_low j + i col_j), about 2 sqrt(K) J
+    exponentials for the K x J lattice.  No phase exceeds |theta| max|k| j_max
+    plus |col|, the size of the direct phases."""
+    rows = k_hi - k_lo
+    block = math.isqrt(rows - 1) + 1
+    j = np.arange(-j_max, j_max + 1)
+    k_top = k_lo + block * np.arange(-(-rows // block))
+    hi = np.exp(1j * (theta * np.multiply.outer(k_top, j)))
+    lo = np.exp(1j * (theta * np.multiply.outer(np.arange(block), j) + col))
+    return (hi[:, None, :] * lo).reshape(-1, j.size)[:rows]
+
+
 def _trapezoid(n_points: int, step: float) -> np.ndarray:
     """One-dimensional trapezoid weights: ``step``, halved at both ends."""
     w = np.full(n_points, step)
@@ -325,25 +341,34 @@ def _trapezoid(n_points: int, step: float) -> np.ndarray:
     return w
 
 
-def _raised_cosine(s: np.ndarray, roll_fraction: float) -> np.ndarray:
-    """Radial cutoff: 1 up to 1 - roll_fraction, cosine roll-off to 0 at 1."""
-    flat_end = 1.0 - roll_fraction
-    out = np.ones_like(s)
-    rolling = (s > flat_end) & (s <= 1.0)
-    out[rolling] = 0.5 * (1.0 + np.cos(math.pi * (s[rolling] - flat_end) / roll_fraction))
-    out[s > 1.0] = 0.0
-    return out
+def _smooth_cutoff(s: np.ndarray, roll_fraction: float) -> np.ndarray:
+    """Radial cutoff: 1 up to 1 - roll_fraction, 0 from 1 on, and between
+    them the C-infinity step a / (a + b), a = exp(-1 / (1 - t)),
+    b = exp(-1 / t), t = (s - 1 + roll_fraction) / roll_fraction.  Every
+    derivative vanishes at both ends, so a trapezoid sum of a smooth
+    integrand under it has no algebraic truncation error."""
+    t = np.subtract(s, 1.0 - roll_fraction)
+    t /= roll_fraction
+    np.clip(t, 0.0, 1.0, out=t)
+    with np.errstate(divide="ignore"):  # t = 0 and t = 1 give exp(-inf) = 0
+        b = np.divide(-1.0, t)
+        np.exp(b, out=b)
+        np.subtract(1.0, t, out=t)
+        np.exp(np.divide(-1.0, t, out=t), out=t)
+    b += t
+    t /= b
+    return t
 
 
-def _support_box(values: np.ndarray, rel_tol: float = config.TAIL_TOL, pad: int = 0):
+def _support_box(values: np.ndarray, pad: int = 0):
     """Per-axis index ranges (lo, hi), hi exclusive, of the smallest box
-    holding every sample with |v| > rel_tol * max|v|, widened by ``pad``
+    holding every sample with |v| > config.TAIL_TOL * max|v|, widened by ``pad``
     and clipped to the array; None when all samples vanish."""
     a = np.abs(values)
     peak = float(a.max())
     if peak == 0.0:
         return None
-    keep = a > rel_tol * peak
+    keep = a > config.TAIL_TOL * peak
     box = []
     for ax in range(a.ndim):
         others = tuple(k for k in range(a.ndim) if k != ax)

@@ -90,29 +90,21 @@ def conley_zehnder(w: GeneratingFunction, m: int) -> int:
     return (m - inertia(w.hessian_xx())) % 4
 
 
-def cz_compose(nu1: int, nu2: int, m1: np.ndarray, m2: np.ndarray,
-               convention: str = "half") -> int:
+def cz_compose(nu1: int, nu2: int, m1: np.ndarray, m2: np.ndarray) -> int:
     """Conley-Zehnder index of a product from the Cayley transforms.
 
     With M1 = M_{S1}, M2 = M_{S2} (M1 + M2 nondegenerate):
 
-        nu = nu1 + nu2 + (1/2) sign(M1 + M2)   mod 4   (convention="half")
-        nu = nu1 + nu2 + sign(M1 + M2)         mod 4   (convention="printed")
+        nu = nu1 + nu2 + (1/2) sign(M1 + M2)   mod 4.
 
     The half-signature convention is the one selected by the grid oracle
     (and by the parity-operator symbol for the composition of two quarter
-    rotations); "printed" is kept for comparison.
+    rotations); the printed full-signature variant disagrees with it.
     """
     sig = signature(np.asarray(m1) + np.asarray(m2))
-    if convention == "half":
-        if sig % 2:
-            raise DegenerateMatrixError("signature of M1 + M2 is odd; cannot halve")
-        corr = sig // 2
-    elif convention == "printed":
-        corr = sig
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
-    return (int(nu1) + int(nu2) + corr) % 4
+    if sig % 2:
+        raise DegenerateMatrixError("signature of M1 + M2 is odd; cannot halve")
+    return (int(nu1) + int(nu2) + sig // 2) % 4
 
 
 def cz_sign_check(w: GeneratingFunction, m: int) -> bool:

@@ -27,11 +27,12 @@ import math
 import warnings
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import config
 from .errors import BandwidthExceededWarning, FactorizationFailedError, GridMismatchError
-from .grids import (SampledFunction, _box_radius, _centered_fft, _integer_shift,
-                    _next_fast_len, _raised_cosine, _support_box, _translate,
+from .grids import (SampledFunction, _box_radius, _centered_fft, _cross_chirp,
+                    _next_fast_len, _smooth_cutoff, _support_box, _translate,
                     _warn_at_edge, interpolate_values)
 from .indices import maslov_branch
 from .symplectic import (
@@ -394,22 +395,6 @@ def support_radius(f: SampledFunction) -> float:
     return _box_radius(box, f.grid.axes())
 
 
-def _cross_chirp(theta: float, k_max: int, j_max: int, col: np.ndarray) -> np.ndarray:
-    """exp(i theta k j + i col_j) for k in [-k_max, k_max] (rows) and j in
-    [-j_max, j_max] (columns), from two small tables instead of one exp per
-    entry: with k = k_hi + k_lo, k_hi = -k_max + B q and 0 <= k_lo < B ~ sqrt(K),
-    it is exp(i theta k_hi j) exp(i theta k_lo j + i col_j), about 2 sqrt(K) J
-    exponentials for the K x J lattice.  No phase exceeds |theta| k_max j_max
-    plus |col|, the size of the direct phases."""
-    rows = 2 * k_max + 1
-    block = math.isqrt(rows - 1) + 1
-    j = np.arange(-j_max, j_max + 1)
-    k_hi = -k_max + block * np.arange(-(-rows // block))
-    hi = np.exp(1j * (theta * np.multiply.outer(k_hi, j)))
-    lo = np.exp(1j * (theta * np.multiply.outer(np.arange(block), j) + col))
-    return (hi[:, None, :] * lo).reshape(-1, j.size)[:rows]
-
-
 def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
                   form: str = "s1") -> SampledFunction:
     """Apply S to f through its phase-space (Bochner) integral
@@ -421,8 +406,8 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
     "s3" the twisted row (checks the Cayley identities).
 
     The lattice is truncated at |z0| <= R = 3 support_radius(f)
-    (``config.R_FACTOR``) with a radial raised-cosine roll-off over the
-    last 20 percent (``config.CUTOFF_FRACTION``); x0 runs over exact grid
+    (``config.R_FACTOR``) with a radial C-infinity roll-off over the last
+    20 percent (``config.CUTOFF_FRACTION``); x0 runs over exact grid
     multiples, p0 over a Nyquist-resolved uniform lattice.  One degree of
     freedom only.  Independent of the (W, m) data: uses (S, nu) and the
     Cayley transform, which is what makes it an oracle for the index laws.
@@ -431,9 +416,10 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
     same lattice, built from separable pieces: the roll-off is evaluated on
     the quadrant x0, p0 >= 0 and mirrored (bit-identical), and the phase
     (m00 x0^2 / 2 + (m01 - 1/2) x0 p0 + m11 p0^2 / 2) / hbar splits into a
-    row chirp, applied per x0 row in the shift loop, a column chirp, and
-    the cross term, taken from a two-level table (``_cross_chirp``).  An
-    exp or hypot over the full lattice is never evaluated.
+    row chirp, a column chirp, and the cross term, taken from a two-level
+    table (``grids._cross_chirp``).  An exp or hypot over the full lattice
+    is never evaluated.  The shifts f(x - x0) are the rows of one window
+    stack of f, zero-padded by the largest shift.
     """
     if f.grid.n != 1:
         raise GridMismatchError("bochner_apply supports n = 1 only")
@@ -462,17 +448,17 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
 
     # the roll-off on the quadrant x0, p0 >= 0, mirrored: (-k) dx = -(k dx)
     # exactly, so the mirror is bit-identical to the roll-off of the lattice
-    chi = _raised_cosine(np.hypot.outer(x0[k_max:], p0[j_max:]) / radius,
+    chi = _smooth_cutoff(np.hypot.outer(x0[k_max:], p0[j_max:]) / radius,
                          config.CUTOFF_FRACTION)
     chi = np.concatenate((chi[:0:-1], chi), axis=0)
     chi = np.concatenate((chi[:, :0:-1], chi), axis=1)
 
     # the chirp z0.M z0 / 2 and the shift phase -p0 x0 / 2 of T(z0): the
-    # row chirp m00 x0^2 / 2 goes to the shift loop, the column chirp and
-    # the cross term (m01 - 1/2) x0 p0 come from the two-level table
+    # row chirp m00 x0^2 / 2 multiplies the shifted rows, the column chirp
+    # and the cross term (m01 - 1/2) x0 p0 come from the two-level table
     row_chirp = np.exp(0.5j * m_s[0, 0] * x0 * x0 / hbar)
     theta = (m_s[0, 1] - 0.5) * dx * dp0 / hbar
-    coeff = _cross_chirp(theta, k_max, j_max, 0.5 * m_s[1, 1] * p0 * p0 / hbar)
+    coeff = _cross_chirp(theta, -k_max, k_max + 1, j_max, 0.5 * m_s[1, 1] * p0 * p0 / hbar)
     coeff *= chi
 
     # inner p0 transform: for each x0 row, sum_p0 coeff exp(i p0 x / hbar)
@@ -481,11 +467,11 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
         p0=x_lo, dp=dx, n_out=grid.N, hbar=hbar, sign=1,
     )  # shape (len(x0), N); axis 1 is the output x index
 
-    out = np.zeros(grid.N, dtype=complex)
-    fvals = f.values
-    for idx in range(x0.size):
-        shift = idx - k_max
-        out += _integer_shift(fvals, (shift,)) * (row_chirp[idx] * inner[idx])
-
+    # row idx of the reversed window stack of f, zero-padded by k_max, is
+    # f(x - x0[idx]); rows are summed in shift order, and factors keep their
+    # order too (complex products need not commute bit for bit)
+    np.multiply(row_chirp[:, None], inner, out=inner)
+    np.multiply(sliding_window_view(np.pad(f.values, k_max), grid.N)[::-1], inner, out=inner)
+    out = inner.sum(axis=0)
     out *= pref / (2.0 * math.pi * hbar) * dx * dp0
     return f.with_values(out)

@@ -19,13 +19,16 @@ One degree of freedom (two-dimensional phase space).
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import config
-from .errors import GridMismatchError, OutOfDomainError, TruncationError
+from .errors import (BandwidthExceededWarning, GridMismatchError, OutOfDomainError,
+                     TruncationError)
 from .grids import (Grid, SampledFunction, _Lattice, _box_radius, _centered_fft,
-                    _checked_values, _next_fast_len, _raised_cosine, _support_box,
+                    _checked_values, _next_fast_len, _smooth_cutoff, _support_box,
                     _translate, _trapezoid, _warn_at_edge, hermite_function,
                     interpolate_values, require_same_frame)
 from .nufft import nufft2d2
@@ -119,29 +122,49 @@ class PhaseFunction:
         return complex(_trapezoid(g.N, g.dx) @ prod @ _trapezoid(g.N_p, g.dp))
 
 
+def _spectral_band(f: SampledFunction):
+    """(lo, hi): the ends, on the hbar-dual axis, of the box holding the
+    spectrum of f above config.TAIL_TOL of its peak; None when f vanishes."""
+    box = _support_box(_centered_fft(f.values))
+    if box is None:
+        return None
+    (lo, hi), = box
+    p = f.grid.dual(f.hbar).axis()
+    return float(p[lo]), float(p[hi - 1])
+
+
 def cross_wigner(f: SampledFunction, g: SampledFunction) -> PhaseFunction:
     """Cross-Wigner transform
     W(f,g)(x,p) = (2 pi hbar)^{-n} Integral e^{-i p.y / hbar}
                   f(x + y/2) conj(g(x - y/2)) dy.
 
     The y-integral is sampled at y = 2 m dx so both factors are read at
-    exact lattice indices; one centered FFT per x row then lands the
-    result on the compatible PhaseGrid.
+    exact lattice indices: row j, column m + N/2 of the product of two
+    window stacks of the zero-padded samples is f[j + m] conj(g[j - m]).
+    One centered FFT per x row then lands the result on the compatible
+    PhaseGrid, whose p-axis holds only half the band pi hbar / dx.  W(f, g)
+    lives on [(lo_f + lo_g) / 2, (hi_f + hi_g) / 2], the mean of the two
+    spectral supports; where that leaves [-P_max, P_max) the FFT folds it
+    back and BandwidthExceededWarning is raised.
     """
     require_same_frame(f, g)
     if f.grid.n != 1:
         raise GridMismatchError("cross_wigner supports n = 1 only")
+    grid = PhaseGrid.compatible(f.grid, f.hbar)
+    bands = [_spectral_band(f), _spectral_band(g)]
+    if None not in bands:
+        lo, hi = (0.5 * (a + b) for a, b in zip(*bands))
+        if lo < -grid.P_max or hi >= grid.P_max:
+            warnings.warn(
+                f"Wigner function spans p in [{lo:.4g}, {hi:.4g}], beyond the phase-space "
+                f"lattice's half band [-{grid.P_max:.4g}, {grid.P_max:.4g}); it folds back. "
+                "Increase N or decrease X", BandwidthExceededWarning, stacklevel=2)
     n_pts = f.grid.N
-    j = np.arange(n_pts)[:, None]
-    m = (np.arange(n_pts) - n_pts // 2)[None, :]
-    ia = j + m
-    ib = j - m
-    valid = (ia >= 0) & (ia < n_pts) & (ib >= 0) & (ib < n_pts)
-    fa = np.where(valid, f.values[np.clip(ia, 0, n_pts - 1)], 0.0)
-    gb = np.where(valid, np.conj(g.values[np.clip(ib, 0, n_pts - 1)]), 0.0)
-    corr = fa * gb
+    rows_f = sliding_window_view(np.pad(f.values, n_pts // 2), n_pts)[:n_pts]
+    rows_g = sliding_window_view(np.pad(np.conj(g.values), n_pts // 2)[::-1], n_pts)
+    corr = rows_f * rows_g[n_pts - 1::-1]
     vals = (f.grid.dx / (math.pi * f.hbar)) * _centered_fft(corr, axes=(1,))
-    return PhaseFunction(PhaseGrid.compatible(f.grid, f.hbar), f.hbar, vals)
+    return PhaseFunction(grid, f.hbar, vals)
 
 
 def phase_shift(F: PhaseFunction, z0: np.ndarray) -> PhaseFunction:
@@ -315,7 +338,7 @@ def bopp_apply(a_sigma, F: PhaseFunction) -> PhaseFunction:
     a_sigma is a callable (z_x array, z_p array) -> complex array.  The
     z0 lattice is the even sublattice (2 dx, 2 dp), so every half-shift
     is an exact index move; truncation at R = 3 times the support radius
-    (``config.R_FACTOR``) with a radial raised-cosine roll-off over the last
+    (``config.R_FACTOR``) with a radial C-infinity roll-off over the last
     20 percent (``config.CUTOFF_FRACTION``).  The symbol must have decayed
     at the truncation ring, else the quadrature is meaningless.
 
@@ -356,7 +379,7 @@ def bopp_apply(a_sigma, F: PhaseFunction) -> PhaseFunction:
             "twisted symbol has not decayed at the truncation radius"
         )
 
-    chi = _raised_cosine(rr, config.CUTOFF_FRACTION)
+    chi = _smooth_cutoff(rr, config.CUTOFF_FRACTION)
     weights = a_vals * chi * (step_x * step_p) / (2.0 * math.pi * hbar)
     keep = np.abs(weights) > 1e-14 * max(peak, 1e-300)
     weights = np.where(keep, weights, 0.0)

@@ -42,8 +42,8 @@ from metaplectic import (
     support_radius,
 )
 from metaplectic import config
-from metaplectic.grids import _integer_shift, _next_fast_len, _raised_cosine
-from metaplectic.operators import _cross_chirp, _fourier_sum_axis
+from metaplectic.grids import _cross_chirp, _integer_shift, _next_fast_len, _smooth_cutoff
+from metaplectic.operators import _fourier_sum_axis
 from metaplectic.symplectic import _integral_form
 
 HBAR = 1.0
@@ -389,6 +389,19 @@ def test_bochner_generic_symplectic_with_composed_index(grid, phi0):
         assert err < 1e-3
 
 
+@pytest.mark.parametrize("alpha", [math.pi / 2, 2 * math.pi / 3], ids=["pi/2", "2pi/3"])
+def test_bochner_matches_mehler_eigenphase(grid, alpha):
+    # the rotation by alpha maps h_k to exp(-i (k + 1/2) alpha) h_k; the
+    # C-infinity roll-off leaves the truncated integral no algebraic error
+    s = rotation(alpha)
+    nu = conley_zehnder(rotation_generating(alpha), 0)
+    for k in range(3):
+        hk = hermite_function(k, grid, HBAR)
+        out = bochner_apply(s, nu, hk).values
+        ref = np.exp(-1j * (k + 0.5) * alpha) * hk.values
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def _bochner_dense(s, nu, f, form):
     """bochner_apply with its coefficient built directly on the full x0 x p0
     mesh: one hypot for the roll-off and one exp for the whole phase, then
@@ -405,7 +418,7 @@ def _bochner_dense(s, nu, f, form):
     j_max = int(math.ceil(radius / dp0))
     p0 = np.arange(-j_max, j_max + 1) * dp0
     xx, pp = np.meshgrid(x0, p0, indexing="ij")
-    chi = _raised_cosine(np.hypot(xx, pp) / radius, config.CUTOFF_FRACTION)
+    chi = _smooth_cutoff(np.hypot(xx, pp) / radius, config.CUTOFF_FRACTION)
     quad = 0.5 * (m_s[0, 0] * xx * xx + 2.0 * m_s[0, 1] * xx * pp + m_s[1, 1] * pp * pp)
     coeff = np.exp(1j * (quad - 0.5 * pp * xx) / hbar) * chi
     inner = _fourier_sum_axis(coeff, 1, x0=float(p0[0]), dx=dp0, p0=-(grid.N // 2) * dx,
@@ -438,16 +451,20 @@ def test_bochner_matches_dense_coefficient_lattice(grid, form):
             assert np.max(np.abs(out - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("k_max, j_max", [(0, 0), (0, 3), (1, 2), (4, 5), (13, 7), (40, 9)])
-def test_cross_chirp_matches_direct_exp(k_max, j_max):
-    # K = 1, 3, 9, 27 and 81 rows: 3 and 27 cut the last block short (2 x 2,
-    # 5 x 6), the squares fill their blocks exactly
+@pytest.mark.parametrize("k_lo, k_hi, j_max", [
+    pytest.param(-k, k + 1, j, id=f"{k}-{j}")
+    for k, j in [(0, 0), (0, 3), (1, 2), (4, 5), (13, 7), (40, 9)]
+] + [pytest.param(57, 80, 6, id="offset-57-80-6")])
+def test_cross_chirp_matches_direct_exp(k_lo, k_hi, j_max):
+    # K = 1, 3, 9, 27 and 81 rows centred on 0: 3 and 27 cut the last block
+    # short (2 x 2, 5 x 6), the squares fill their blocks exactly; the
+    # offset range is one row chunk of a longer lattice (23 rows, 5 x 5)
     theta = -0.0371
     j = np.arange(-j_max, j_max + 1)
     col = 0.013 * j * j
-    k = np.arange(-k_max, k_max + 1)[:, None]
+    k = np.arange(k_lo, k_hi)[:, None]
     phase = theta * k * j + col
-    table = _cross_chirp(theta, k_max, j_max, col)
+    table = _cross_chirp(theta, k_lo, k_hi, j_max, col)
     assert table.shape == phase.shape
     # rounding of a phase is eps |phase|, and the table multiplies two factors
     tol = 4 * np.finfo(float).eps * (1 + np.max(np.abs(phase)))

@@ -126,11 +126,13 @@ def test_cz_compose_rotations_half_signature():
 
 
 def test_cz_compose_rejects_odd_signature_halving():
-    # a 2x2 sum with one zero eigenvalue has odd signature: cannot halve
-    m1 = np.diag([1.0, 0.5])
-    m2 = np.diag([-1.0, 0.5])
-    with pytest.raises(DegenerateMatrixError):
-        cz_compose(0, 0, m1, m2, convention="half")
+    # a nondegenerate 1x1 sum has signature +-1, which cz_compose cannot halve
+    for m1, m2 in (([[1.0]], [[0.5]]), ([[-2.0]], [[0.5]])):
+        with pytest.raises(DegenerateMatrixError, match="odd"):
+            cz_compose(0, 0, np.array(m1), np.array(m2))
+    # a 2x2 sum with one zero eigenvalue: signature itself rejects it
+    with pytest.raises(DegenerateMatrixError, match="inertia is ill-defined"):
+        cz_compose(0, 0, np.diag([1.0, 0.5]), np.diag([-1.0, 0.5]))
 
 
 def test_cz_compose_printed_variant_differs():
@@ -138,6 +140,6 @@ def test_cz_compose_printed_variant_differs():
     # one whenever sign(M1 + M2) is not divisible by 4
     alpha, beta = math.pi / 3, math.pi / 2
     ma, mb = cayley(rotation(alpha)), cayley(rotation(beta))
-    nu_half = cz_compose(3, 3, ma, mb, convention="half")
-    nu_printed = cz_compose(3, 3, ma, mb, convention="printed")
+    nu_half = cz_compose(3, 3, ma, mb)
+    nu_printed = (3 + 3 + signature(ma + mb)) % 4
     assert nu_half != nu_printed

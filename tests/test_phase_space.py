@@ -2,6 +2,7 @@
 extended metaplectic operators, and the Bopp quantization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,34 @@ def test_wigner_hermiticity(phi0, h1):
     w01 = cross_wigner(phi0, h1)
     w10 = cross_wigner(h1, phi0)
     np.testing.assert_allclose(w01.values, np.conj(w10.values), atol=1e-12)
+
+
+@pytest.mark.parametrize("fraction", [0.45, 0.55, 0.70])
+def test_wigner_warns_beyond_half_band(grid, phi0, fraction):
+    # f = phi0 e^{i p1 x / hbar} is held by the configuration band pi hbar / dx,
+    # but W(f, f) sits at p = p1 and reaches past P_max, half of that band
+    f = heisenberg_weyl(phi0, [0.0, fraction * math.pi * HBAR / grid.dx])
+    with pytest.warns(BandwidthExceededWarning, match="half band"):
+        cross_wigner(f, f)
+
+
+def test_wigner_silent_inside_half_band(grid, phi0):
+    # W(f, g) spans the mean of the two spectral supports: a +-p1 pair sits at
+    # p = 0 and stays silent, although each spectrum alone reaches past P_max
+    band = math.pi * HBAR / grid.dx
+    inside = heisenberg_weyl(phi0, [0.0, 0.30 * band])
+    up, down = (heisenberg_weyl(phi0, [0.0, sign * 0.70 * band]) for sign in (1, -1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w_in = cross_wigner(inside, inside)
+        w_pair = cross_wigner(up, down)
+    xg, pg = w_in.grid.meshgrid()
+    p1 = 0.30 * band
+    closed = np.exp(-(xg ** 2 + (pg - p1) ** 2) / HBAR) / (math.pi * HBAR)
+    np.testing.assert_allclose(w_in.values, closed, rtol=0, atol=1e-12)
+    closed = np.exp(2j * 0.70 * band * xg / HBAR) * np.exp(-(xg ** 2 + pg ** 2) / HBAR) / (
+        math.pi * HBAR)
+    np.testing.assert_allclose(w_pair.values, closed, rtol=0, atol=1e-12)
 
 
 def test_moyal_identity(grid, phi0, h1):
@@ -318,10 +347,11 @@ def _bopp_direct(a_sigma, F, r_factor=3.0, cutoff_fraction=0.2):
             s = math.hypot(x0, p0) / radius
             if s > 1.0 or abs(a) >= grid.N or abs(b) >= grid.N_p:
                 continue  # outside the cutoff, or F moved off the grid
-            chi = 1.0
-            if s > 1.0 - cutoff_fraction:
-                chi = 0.5 * (1.0 + math.cos(math.pi * (s - 1.0 + cutoff_fraction)
-                                            / cutoff_fraction))
+            # the C-infinity step a / (a + b) over the roll-off
+            t = min(max((s - 1.0 + cutoff_fraction) / cutoff_fraction, 0.0), 1.0)
+            a_t = math.exp(-1.0 / (1.0 - t)) if t < 1.0 else 0.0
+            b_t = math.exp(-1.0 / t) if t > 0.0 else 0.0
+            chi = a_t / (a_t + b_t)
             w = a_sigma(x0, p0) * chi * (4 * grid.dx * grid.dp) / (2 * math.pi * hbar)
             shifted = np.zeros_like(vals)
             shifted[max(0, a):grid.N + min(0, a), max(0, b):grid.N_p + min(0, b)] = \

@@ -10,11 +10,13 @@ For every seed and every workload of ``BENCHMARK.json`` it runs
 once per workload traced (at the first seed).  With ``--parent`` it
 runs each command in the parent checkout too, alternating which side goes
 first, so that drift of a shared machine falls on both sides alike.  It
-also times two per-call rows, best of three calls each: the n = 2, N = 64
+also times three per-call rows, best of three calls each: the n = 2, N = 64
 quadrature oracle on perfbench's draws (``rng_for(seed, 3)``, seeds 0-7)
-against its closed-form image, and the six ``bochner_apply`` calls of
+against its closed-form image, the six ``bochner_apply`` calls of
 ``config_space`` (forms s1, s2, s3 on the pi/2 and 2pi/3 rotations of
-phi0, N = 512, X = 12) against the Mehler eigenphase exp(-i alpha / 2) phi0.
+phi0, N = 512, X = 12) against the Mehler eigenphase exp(-i alpha / 2) phi0,
+and the four ``cross_wigner`` Hermite pairs of ``phase_space`` (N = 512,
+X = 12) against the closed-form W(phi0, phi0) or the dense Wigner integral.
 
 The file records the machine (``nproc``, the CPU model from
 ``/proc/cpuinfo``), the Python and NumPy versions, each checkout's git
@@ -90,10 +92,34 @@ for alpha in (math.pi / 2, 2 * math.pi / 3):
 print(json.dumps(rows))
 """
 
+# The four cross_wigner pairs of phase_space, best of three each; the
+# reference is the closed form for (h0, h0), the dense Wigner integral else.
+CROSS_WIGNER_SNIPPET = r"""
+import json, time
+import numpy as np
+import reference as ref
+import metaplectic as mp
+x, p = ref.phase_axes(512, 12.0, 1.0)
+hk = [mp.SampledFunction(mp.Grid(1, 512, 12.0), 1.0, ref.hermite(k, x, 1.0)) for k in range(3)]
+rows = []
+for a, b in ((0, 0), (0, 1), (1, 2), (2, 2)):
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        out = mp.cross_wigner(hk[a], hk[b]).values
+        times.append(time.perf_counter() - t0)
+    exact = (ref.gaussian_wigner(x, p, 1.0) if (a, b) == (0, 0) else ref.wigner_dense(
+        lambda t: ref.hermite(a, t, 1.0), lambda t: ref.hermite(b, t, 1.0), x, p, 1.0))
+    rows.append({"pair": f"h{a}h{b}", "ms": 1e3 * min(times), "error": ref.rel_err(out, exact)})
+print(json.dumps(rows))
+"""
+
 PER_CALL = (
     ("qfio_apply quadrature, n = 2, N = 64, full L", "QUADRATURE_SNIPPET", QUADRATURE_SNIPPET),
     ("bochner_apply s1, s2, s3 on rotations of phi0, N = 512", "BOCHNER_SNIPPET",
      BOCHNER_SNIPPET),
+    ("cross_wigner of four Hermite pairs, N = 512", "CROSS_WIGNER_SNIPPET",
+     CROSS_WIGNER_SNIPPET),
 )
 
 
