@@ -225,21 +225,52 @@ def interpolate_values(values: np.ndarray, grid: _Lattice,
     return out
 
 
+def _ramp_shift(values: np.ndarray, axis: int, cells, ramp: np.ndarray) -> np.ndarray:
+    """Sample j along ``axis`` replaced by the trigonometric interpolant at
+    j - cells: the spectrum on that axis times ``ramp``, which is
+    exp(-2 pi i k cells / N) for the frequencies k in [-N//2, N - N//2) in
+    ``np.fft`` order (k >= 0 first), the band of the centered interpolant.
+    ``cells`` is a scalar or one shift per line (broadcasting against
+    ``values`` with size 1 along ``axis``).  A sample whose read point
+    j - cells leaves [0, N) wrapped round the period, and is zeroed."""
+    out = np.fft.ifft(np.fft.fft(values, axis=axis) * ramp, axis=axis)
+    j = np.arange(values.shape[axis]).reshape((-1,) + (1,) * (values.ndim - 1 - axis))
+    out[np.broadcast_to((j < cells) | (j >= values.shape[axis] + cells), out.shape)] = 0.0
+    return out
+
+
 def _translate(values: np.ndarray, grid: _Lattice, shift) -> np.ndarray:
     """Samples of z -> values(z - shift), zero-filled: the whole cells of the
     shift are an exact index move; a remainder r above 1e-9 of a cell first
-    reads the trigonometric interpolant through the spectral ramp
-    exp(-2 pi i k r / N) on its axis, zeroing the sample it wrapped (r > 0)."""
+    reads the trigonometric interpolant through ``_ramp_shift`` on its axis."""
     cells = np.asarray(shift, dtype=float) / np.asarray(grid.steps)
     whole = np.rint(cells)
     for ax in np.flatnonzero(np.abs(cells - whole) >= 1e-9):
         r, size = cells[ax] - whole[ax], values.shape[ax]
-        k = (np.arange(size) - size // 2).reshape((-1,) + (1,) * (values.ndim - 1 - ax))
-        spec = _centered_fft(values, axes=(ax,)) * np.exp(-2j * math.pi * r / size * k)
-        values = _centered_fft(spec, axes=(ax,), inverse=True) / size
-        if r > 0:
-            np.moveaxis(values, ax, 0)[0] = 0.0
+        k = np.fft.ifftshift(np.arange(size) - size // 2)  # np.fft order
+        k = k.reshape((-1,) + (1,) * (values.ndim - 1 - ax))
+        values = _ramp_shift(values, ax, r, np.exp(-2j * math.pi * r / size * k))
     return _integer_shift(values, tuple(int(c) for c in whole))
+
+
+def _shear(values: np.ndarray, axis: int, slope: float) -> np.ndarray:
+    """Shear of a 2-D array along ``axis`` about its center line: line c of
+    the other axis (centered index c - n // 2) moves by slope (c - n // 2)
+    cells, so for axis 0 out[j, c] = values(j - slope (c - n // 2), c).  The
+    values come from each line's trigonometric interpolant through
+    ``_ramp_shift``, whose ramp exp(-2 pi i k slope c / N) is bilinear in
+    (k, c) and is built by ``_lattice_cis``, nonnegative k first; reads from
+    beyond the line are zeroed, never wrapped."""
+    size, lines = values.shape[axis], values.shape[1 - axis]
+    c = np.arange(lines) - lines // 2
+    theta = -2.0 * math.pi * slope / size
+    cols = range(c[0], c[-1] + 1)
+    ramp = np.concatenate((_lattice_cis(theta, range(0, size - size // 2), cols),
+                           _lattice_cis(theta, range(-(size // 2), 0), cols)))
+    cells = slope * c
+    if axis == 1:
+        ramp, cells = ramp.T, cells[:, None]
+    return _ramp_shift(values, axis, cells, ramp)
 
 
 # ----------------------------------------------------------------------
@@ -275,6 +306,35 @@ def _centered_fft(values: np.ndarray, axes=None, inverse: bool = False) -> np.nd
     else:
         spec = np.fft.fftn(shifted, axes=axes)
     return np.fft.fftshift(spec, axes=axes)
+
+
+def _fourier_sum_axis(values: np.ndarray, axis: int, x0: float, dx: float,
+                      p0: float, dp: float, n_out: int, hbar: float,
+                      sign: int) -> np.ndarray:
+    """Along one axis: out_t = sum_j values_j exp(sign i (p0 + t dp)(x0 + j dx) / hbar).
+
+    Exact to rounding for any uniform target lattice, cost O((N + n_out) log):
+    Bluestein's chirp z (Rabiner, Schafer & Rader 1969).  With
+    theta = sign dp dx / hbar, the identity j t = (j^2 + t^2 - (t - j)^2) / 2
+    turns the sum into one linear convolution with exp(-i theta k^2 / 2),
+    k = -(N - 1) .. n_out - 1, done by one zero-padded FFT."""
+    work = np.moveaxis(values, axis, -1)
+    nsrc = work.shape[-1]
+    theta = sign * dp * dx / hbar
+    j = np.arange(nsrc)
+    t = np.arange(n_out)
+    k = np.arange(1 - nsrc, n_out)
+    pre = np.exp(1j * (sign * p0 * dx / hbar * j + 0.5 * theta * (j * j)))
+    post = np.exp(1j * (sign * (p0 * x0 + t * dp * x0) / hbar + 0.5 * theta * (t * t)))
+    length = _next_fast_len(nsrc + n_out - 1)
+    kernel = np.zeros(length, dtype=complex)
+    kernel[k % length] = np.exp(-0.5j * theta * (k * k))
+    # numpy.fft writes in its input's layout, and on strided rows (axis 0 of
+    # a 2-D array) it ran about 1.4x slower than on a contiguous copy
+    spec = np.fft.fft(np.ascontiguousarray(work * pre), n=length, axis=-1)
+    spec *= np.fft.fft(kernel)  # in place: one padded array alive, not three
+    conv = np.fft.ifft(spec, axis=-1, out=spec)
+    return np.moveaxis(conv[..., :n_out] * post, -1, axis)
 
 
 def _integer_shift(values: np.ndarray, shifts: tuple[int, ...]) -> np.ndarray:
@@ -331,6 +391,22 @@ def _cross_chirp(theta: float, k_lo: int, k_hi: int, j_max: int, col) -> np.ndar
     hi = np.exp(1j * (theta * np.multiply.outer(k_top, j)))
     lo = np.exp(1j * (theta * np.multiply.outer(np.arange(block), j) + col))
     return (hi[:, None, :] * lo).reshape(-1, j.size)[:rows]
+
+
+def _lattice_cis(theta: float, rows: range, cols: range, row=0.0, col=0.0) -> np.ndarray:
+    """exp(i (theta r c + row_r + col_c)) for the integers r in ``rows``
+    (first axis) and c in ``cols`` (second axis), with ``row`` and ``col``
+    phases per entry of each range or scalars: the bilinear term comes from
+    ``_cross_chirp`` on the symmetric column range that holds ``cols``, so a
+    table costs about 2 sqrt(len(rows)) columns' worth of exponentials."""
+    j_max = max(-cols.start, cols.stop - 1, 0)
+    full = np.zeros(2 * j_max + 1)
+    full[cols.start + j_max:cols.stop + j_max] = col
+    out = _cross_chirp(theta, rows.start, rows.stop, j_max, full)
+    out = out[:, cols.start + j_max:cols.stop + j_max]
+    if np.any(row):
+        out *= np.exp(1j * np.asarray(row, dtype=float))[:, None]
+    return out
 
 
 def _trapezoid(n_points: int, step: float) -> np.ndarray:

@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import config
 from .errors import BandwidthExceededWarning, FactorizationFailedError, GridMismatchError
 from .grids import (SampledFunction, _box_radius, _centered_fft, _cross_chirp,
-                    _next_fast_len, _smooth_cutoff, _support_box, _translate,
+                    _fourier_sum_axis, _smooth_cutoff, _support_box, _translate,
                     _warn_at_edge, interpolate_values)
 from .indices import maslov_branch
 from .symplectic import (
@@ -57,38 +57,6 @@ __all__ = [
     "bochner_apply",
     "support_radius",
 ]
-
-
-# ----------------------------------------------------------------------
-# exact Fourier sums on arbitrary uniform target lattices (chirp z)
-
-def _fourier_sum_axis(values: np.ndarray, axis: int, x0: float, dx: float,
-                      p0: float, dp: float, n_out: int, hbar: float,
-                      sign: int) -> np.ndarray:
-    """Along one axis: out_t = sum_j values_j exp(sign i (p0 + t dp)(x0 + j dx) / hbar).
-
-    Exact to rounding for any uniform target lattice, cost O((N + n_out) log):
-    Bluestein's chirp z (Rabiner, Schafer & Rader 1969).  With
-    theta = sign dp dx / hbar, the identity j t = (j^2 + t^2 - (t - j)^2) / 2
-    turns the sum into one linear convolution with exp(-i theta k^2 / 2),
-    k = -(N - 1) .. n_out - 1, done by one zero-padded FFT."""
-    work = np.moveaxis(values, axis, -1)
-    nsrc = work.shape[-1]
-    theta = sign * dp * dx / hbar
-    j = np.arange(nsrc)
-    t = np.arange(n_out)
-    k = np.arange(1 - nsrc, n_out)
-    pre = np.exp(1j * (sign * p0 * dx / hbar * j + 0.5 * theta * (j * j)))
-    post = np.exp(1j * (sign * (p0 * x0 + t * dp * x0) / hbar + 0.5 * theta * (t * t)))
-    length = _next_fast_len(nsrc + n_out - 1)
-    kernel = np.zeros(length, dtype=complex)
-    kernel[k % length] = np.exp(-0.5j * theta * (k * k))
-    # numpy.fft writes in its input's layout, and on strided rows (axis 0 of
-    # a 2-D array) it ran about 1.4x slower than on a contiguous copy
-    spec = np.fft.fft(np.ascontiguousarray(work * pre), n=length, axis=-1)
-    spec *= np.fft.fft(kernel)  # in place: one padded array alive, not three
-    conv = np.fft.ifft(spec, axis=-1, out=spec)
-    return np.moveaxis(conv[..., :n_out] * post, -1, axis)
 
 
 # ----------------------------------------------------------------------

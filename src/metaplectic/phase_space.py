@@ -11,9 +11,10 @@ over one of the two rows (M, pref) of the table of integral forms,
 ``symplectic._integral_form``: the Cayley row (form name s1) or the twisted
 row (form names alfa1 and alfa2, which are one route).  The integral is
 reduced, by the substitution v = z - z0 / 2 that places the integration
-variable on the sample lattice of F, to a quadratic chirp times a
-sheared-lattice Fourier sum, which is evaluated by a type-2 nonuniform FFT.
-One degree of freedom (two-dimensional phase space).
+variable on the sample lattice of F, to a quadratic chirp times a Fourier
+sum over a lattice refined to the Poisson rate of the integrand.  That sum
+is evaluated exactly: one Fourier-ramp shear of F and two chirp-z passes,
+with no nonuniform FFT.  One degree of freedom (two-dimensional phase space).
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from . import config
 from .errors import (BandwidthExceededWarning, GridMismatchError, OutOfDomainError,
                      TruncationError)
 from .grids import (Grid, SampledFunction, _Lattice, _box_radius, _centered_fft,
-                    _checked_values, _next_fast_len, _smooth_cutoff, _support_box,
-                    _translate, _trapezoid, _warn_at_edge, hermite_function,
-                    interpolate_values, require_same_frame)
-from .nufft import nufft2d2
+                    _checked_values, _fourier_sum_axis, _lattice_cis, _next_fast_len,
+                    _shear, _smooth_cutoff, _support_box, _translate, _trapezoid,
+                    _warn_at_edge, hermite_function, interpolate_values, require_same_frame)
 from .symplectic import SymplecticMatrix, _integral_form, standard_j
 
 __all__ = [
@@ -218,19 +218,44 @@ def wigner_basis(j_max: int, k_max: int, hbar: float, grid: Grid) -> list:
 # ----------------------------------------------------------------------
 # extended metaplectic operators
 
-def _fft_upsample(vals: np.ndarray, u1: int, u2: int) -> np.ndarray:
-    """Trigonometric upsampling by integer factors (zero-padded spectrum)."""
-    if u1 == 1 and u2 == 1:
+def _fft_upsample(vals: np.ndarray, shape) -> np.ndarray:
+    """Trigonometric upsampling to ``shape`` (zero-padded centered spectrum):
+    sample j of axis k of the result sits at (j - shape[k] // 2) / shape[k]
+    of the period, as sample j of vals does at (j - n_k // 2) / n_k."""
+    if vals.shape == tuple(shape):
         return vals
     n1, n2 = vals.shape
-    big = np.zeros((n1 * u1, n2 * u2), dtype=complex)
-    r0 = (n1 * u1) // 2 - n1 // 2
-    c0 = (n2 * u2) // 2 - n2 // 2
+    big = np.zeros(shape, dtype=complex)
+    r0 = shape[0] // 2 - n1 // 2
+    c0 = shape[1] // 2 - n2 // 2
     big[r0:r0 + n1, c0:c0 + n2] = _centered_fft(vals)
     return _centered_fft(big, inverse=True) / (n1 * n2)
 
 
 _MAX_WORK_POINTS = 8_000_000
+
+
+def _shear_plan(g_mat: np.ndarray, n_pts, steps):
+    """(l, u, pad, i) for the sum over w of c(w) exp(i z.G w / hbar): the shear
+    w_l = w'_l + u w'_l' (l' = 1 - l) that zeroes entry (i, l') of G T, and the
+    cells ``pad`` by which it widens axis l of the n_pts lattice with
+    ``steps`` on either side.  Of the four shears (one per entry of a row,
+    and one of each row's pair has |u| <= 1), the one with the smallest
+    padded workspace; u = 0 when G already has a zero entry."""
+    zeros = np.argwhere(g_mat == 0.0)
+    if zeros.size:
+        i, lz = (int(a) for a in zeros[0])
+        return 1 - lz, 0.0, 0, i
+    best = None
+    for i in (0, 1):
+        for l in (0, 1):
+            lp = 1 - l
+            u = -g_mat[i, lp] / g_mat[i, l]
+            pad = math.ceil(abs(u) * (n_pts[lp] // 2) * steps[lp] / steps[l])
+            size = (n_pts[l] + 2 * pad) * n_pts[lp]
+            if best is None or size < best[0]:
+                best = (size, (l, u, pad, i))
+    return best[1]
 
 
 def metaplectic_phase_apply(s: SymplecticMatrix, nu: int, F: PhaseFunction,
@@ -242,10 +267,21 @@ def metaplectic_phase_apply(s: SymplecticMatrix, nu: int, F: PhaseFunction,
     where the integrand decays through F itself, so the truncation region
     is the support box of F (the radial cutoff of the z0-form is redundant
     in these coordinates: shifts outside config.R_FACTOR times the support
-    radius land outside the reachable output box, which is zero-filled).  The
-    lattice is refined by trigonometric upsampling until it resolves the
-    chirp and output bandwidths; the sheared Fourier sum is evaluated by
-    a type-2 nonuniform FFT.
+    radius land outside the reachable output box, which is zero-filled).
+
+    The sum is the trapezoid rule for the v-integral of F(v) times the chirp
+    exp(i v.C v / 2 hbar) times exp(i z.G v / hbar); it is exact when the
+    integrand's band on each axis, band(F) + bound, stays below the Poisson
+    rate 2 pi / dv, so F is refined by trigonometric upsampling to at least
+    u = ceil(1.1 dx bound / (2 pi) + 0.55) points per cell on each axis (on
+    an FFT-friendly length).  The sum over the output lattice z is then
+    evaluated exactly, with no nonuniform FFT: one shear w = v - v_c -> T w
+    (``_shear_plan``) zeroes an entry of G T, the samples F(v_c + T w) come
+    from a Fourier-ramp shear of the zero-padded upsampled F
+    (``grids._shear``) and the chirp is evaluated at those same points, and
+    the sum splits into two chirp-z passes (``grids._fourier_sum_axis``) with
+    one cross phase between them.  ``_MAX_WORK_POINTS`` caps the sheared
+    workspace.
     """
     if F.grid.n != 1:
         raise GridMismatchError("metaplectic_phase_apply supports n = 1 only")
@@ -277,49 +313,80 @@ def metaplectic_phase_apply(s: SymplecticMatrix, nu: int, F: PhaseFunction,
     r_out = 1.15 * sig_max * r_supp + 3.0 * math.sqrt(hbar)
     ox = np.nonzero(np.abs(xo) <= r_out)[0]
     op = np.nonzero(np.abs(po) <= r_out)[0]
-    zx = xo[ox[0]:ox[-1] + 1]
-    zp = po[op[0]:op[-1] + 1]
 
     # per-axis bandwidth budget: chirp on the v-box plus output coupling
     mvx, mvp = max(abs(xs[0]), abs(xs[-1])), max(abs(ps[0]), abs(ps[-1]))
-    mzx, mzp = max(abs(zx[0]), abs(zx[-1])), max(abs(zp[0]), abs(zp[-1]))
+    mzx, mzp = max(abs(xo[ox[0]]), abs(xo[ox[-1]])), max(abs(po[op[0]]), abs(po[op[-1]]))
     bound1 = (abs(c_mat[0, 0]) * mvx + abs(c_mat[0, 1]) * mvp
               + abs(g_mat[0, 0]) * mzx + abs(g_mat[1, 0]) * mzp) / hbar
     bound2 = (abs(c_mat[1, 0]) * mvx + abs(c_mat[1, 1]) * mvp
               + abs(g_mat[0, 1]) * mzx + abs(g_mat[1, 1]) * mzp) / hbar
-    u1 = max(1, math.ceil(grid.dx * bound1 * 1.1 / math.pi + 1.0))
-    u2 = max(1, math.ceil(grid.dp * bound2 * 1.1 / math.pi + 1.0))
-    if xs.size * u1 * ps.size * u2 > _MAX_WORK_POINTS:
+    u1 = max(1, math.ceil(1.1 * grid.dx * bound1 / (2.0 * math.pi) + 0.55))
+    u2 = max(1, math.ceil(1.1 * grid.dp * bound2 / (2.0 * math.pi) + 0.55))
+    # at least u1 x u2 points per cell, on FFT-friendly lengths
+    n_pts = (_next_fast_len(xs.size * u1), _next_fast_len(ps.size * u2))
+    steps = (grid.dx * xs.size / n_pts[0], grid.dp * ps.size / n_pts[1])
+    l, u, pad, i = _shear_plan(g_mat, n_pts, steps)
+    lp, ip = 1 - l, 1 - i
+    n_sheared = _next_fast_len(n_pts[l] + 2 * pad)
+    if n_sheared * n_pts[lp] > _MAX_WORK_POINTS:
         raise TruncationError(
-            f"workspace would need {xs.size * u1} x {ps.size * u2} points; "
+            f"workspace would need {n_sheared} x {n_pts[lp]} points; "
             "the chirp bandwidth exceeds the refinement budget"
         )
-    work = _fft_upsample(F.values[i0:i1, k0:k1], u1, u2)
-    dv1 = grid.dx / u1
-    dv2 = grid.dp / u2
-    nj, nk = work.shape
-    vx = xs[xs.size // 2] + (np.arange(nj) - nj // 2) * dv1
-    vp = ps[ps.size // 2] + (np.arange(nk) - nk // 2) * dv2
+    work = _fft_upsample(F.values[i0:i1, k0:k1], n_pts)
+    lo = (n_sheared - n_pts[l]) // 2
+    work = np.pad(work, [(lo, n_sheared - n_pts[l] - lo) if ax == l else (0, 0) for ax in (0, 1)])
+    # indices from the upsampled lattice's centre sample: w = idx * steps on
+    # the workspace, z = idx * dz on the output box; every phase below is a
+    # bilinear table (grids._lattice_cis)
+    w_idx = [range(-(n // 2), n - n // 2) for n in n_pts]
+    w_idx[l] = range(w_idx[l].start - lo, w_idx[l].start - lo + n_sheared)
+    z_idx = [range(ox[0] - grid.N // 2, ox[-1] + 1 - grid.N // 2),
+             range(op[0] - grid.N_p // 2, op[-1] + 1 - grid.N_p // 2)]
+    dz = (grid.dx, grid.dp)
 
-    quad_v = 0.5 * (c_mat[0, 0] * vx[:, None] ** 2
-                    + 2.0 * c_mat[0, 1] * vx[:, None] * vp[None, :]
-                    + c_mat[1, 1] * vp[None, :] ** 2)
-    coeffs = work * np.exp(1j * quad_v / hbar) * (dv1 * dv2)
+    # the sample at offset w sits at v = centre + T w, v_l = centre_l + w_l + u w_l';
+    # with w = A idx, A = T diag(steps), the chirp v.C v / 2 is
+    # centre.C centre / 2 + (A^T C centre).idx + idx.(A^T C A) idx / 2
+    work = _shear(work, l, -u * steps[lp] / steps[l])
+    centre = np.array([xs[xs.size // 2], ps[ps.size // 2]])
+    a_mat = np.diag(steps)
+    a_mat[l, lp] = u * steps[lp]
+    h_mat = a_mat.T @ c_mat @ a_mat
+    h_vec = a_mat.T @ c_mat @ centre
+    a, b = (np.arange(r.start, r.stop, dtype=float) for r in w_idx)
+    coeffs = work * _lattice_cis(
+        h_mat[0, 1] / hbar, *w_idx,
+        row=(0.5 * centre @ c_mat @ centre + h_vec[0] * a + 0.5 * h_mat[0, 0] * a * a) / hbar,
+        col=(h_vec[1] * b + 0.5 * h_mat[1, 1] * b * b) / hbar)
+    coeffs *= steps[0] * steps[1]
 
-    gz1 = (g_mat[0, 0] * zx[:, None] + g_mat[1, 0] * zp[None, :]) / hbar
-    gz2 = (g_mat[0, 1] * zx[:, None] + g_mat[1, 1] * zp[None, :]) / hbar
-    xi1 = dv1 * gz1
-    xi2 = dv2 * gz2
-    if max(float(np.max(np.abs(xi1))), float(np.max(np.abs(xi2)))) >= math.pi:
-        raise TruncationError("sheared targets exceed the refined Nyquist box")
-    core = nufft2d2(xi1, xi2, coeffs)
+    # z.G (centre + T w) = z.G centre + z.G' w, with G' = G T and G'[i, l'] = 0:
+    # sum over w_l' to z_i', take the cross phase z_i' G'[i', l] w_l, sum over
+    # w_l to z_i
+    g_t = g_mat.copy()
+    g_t[:, lp] += u * g_mat[:, l]
+    g_t[i, lp] = 0.0
+    core = _fourier_sum_axis(coeffs, lp, x0=w_idx[lp][0] * steps[lp], dx=steps[lp],
+                             p0=g_t[ip, lp] * z_idx[ip][0] * dz[ip], dp=g_t[ip, lp] * dz[ip],
+                             n_out=len(z_idx[ip]), hbar=hbar, sign=1)
+    cross = _lattice_cis(g_t[ip, l] * steps[l] * dz[ip] / hbar, w_idx[l], z_idx[ip])
+    core *= cross if l == 0 else cross.T
+    core = _fourier_sum_axis(core, l, x0=w_idx[l][0] * steps[l], dx=steps[l],
+                             p0=g_t[i, l] * z_idx[i][0] * dz[i], dp=g_t[i, l] * dz[i],
+                             n_out=len(z_idx[i]), hbar=hbar, sign=1)
+    if l != i:
+        core = core.T
 
-    vcx, vcp = vx[nj // 2], vp[nk // 2]
-    quad_z = 0.5 * (c_mat[0, 0] * zx[:, None] ** 2
-                    + 2.0 * c_mat[0, 1] * zx[:, None] * zp[None, :]
-                    + c_mat[1, 1] * zp[None, :] ** 2)
-    lin_z = gz1 * vcx + gz2 * vcp
-    block = pref_full * np.exp(1j * (quad_z / hbar + lin_z)) * core
+    # the output phase z.C z / 2 + z.G centre
+    gc = g_mat @ centre
+    zx, zp = (np.arange(r.start, r.stop) * h for r, h in zip(z_idx, dz))
+    block = core * _lattice_cis(
+        c_mat[0, 1] * dz[0] * dz[1] / hbar, *z_idx,
+        row=(0.5 * c_mat[0, 0] * zx * zx + gc[0] * zx) / hbar,
+        col=(0.5 * c_mat[1, 1] * zp * zp + gc[1] * zp) / hbar)
+    block *= pref_full
 
     out = np.zeros(grid.shape(), dtype=complex)
     out[ox[0]:ox[-1] + 1, op[0]:op[-1] + 1] = block

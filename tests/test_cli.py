@@ -55,6 +55,19 @@ def workdir(tmp_path):
     return tmp_path
 
 
+def test_package_import_loads_every_module_but_cli():
+    # a fresh interpreter, so that no module is loaded by another test first
+    import metaplectic
+    import pkgutil
+    modules = {m.name for m in pkgutil.iter_modules(metaplectic.__path__)}
+    src = str(Path(metaplectic.__file__).parents[1])
+    code = ("import sys, metaplectic; print(' '.join(sorted("
+            "k.split('.')[1] for k in sys.modules if k.startswith('metaplectic.'))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert set(proc.stdout.split()) == modules - {"cli"}
+
+
 def test_parser_covers_all_subcommands():
     parser = build_parser()
     actions = [a for a in parser._actions

@@ -42,8 +42,8 @@ from metaplectic import (
     support_radius,
 )
 from metaplectic import config
-from metaplectic.grids import _cross_chirp, _integer_shift, _next_fast_len, _smooth_cutoff
-from metaplectic.operators import _fourier_sum_axis
+from metaplectic.grids import (_cross_chirp, _fourier_sum_axis, _integer_shift, _next_fast_len,
+                              _smooth_cutoff)
 from metaplectic.symplectic import _integral_form
 
 HBAR = 1.0
@@ -348,7 +348,7 @@ def test_bochner_matches_factored_rotation(grid, phi0):
     boch = bochner_apply(rotation(math.pi / 2), nu, phi0)
     fact = qfio_apply(w, 0, phi0)
     err = np.max(np.abs(boch.values - fact.values)) / np.max(np.abs(fact.values))
-    assert err < 1e-3
+    assert err < 1e-12  # config.BOCHNER_TOL
 
 
 @pytest.mark.parametrize("form", ["s1", "s2", "s3"])
@@ -360,7 +360,7 @@ def test_bochner_forms_agree(grid, form):
     out = bochner_apply(s, nu, f, form=form)
     ref = qfio_apply(w, 0, f)
     err = np.max(np.abs(out.values - ref.values)) / np.max(np.abs(ref.values))
-    assert err < 1e-3
+    assert err < 1e-12  # config.BOCHNER_TOL
     # the twisted row integrates the Cayley row's chirp on the same lattice
     base = bochner_apply(s, nu, f, form="s1")
     assert np.max(np.abs(out.values - base.values)) / np.max(np.abs(base.values)) < 1e-12
@@ -386,7 +386,7 @@ def test_bochner_generic_symplectic_with_composed_index(grid, phi0):
         word = MetaplecticWord([(w1, m1), (w2, m2)])
         ref = word.apply(phi0)
         err = np.max(np.abs(boch.values - ref.values)) / np.max(np.abs(ref.values))
-        assert err < 1e-3
+        assert err < 1e-12  # config.BOCHNER_TOL
 
 
 @pytest.mark.parametrize("alpha", [math.pi / 2, 2 * math.pi / 3], ids=["pi/2", "2pi/3"])

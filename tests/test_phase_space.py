@@ -35,10 +35,14 @@ from metaplectic import (
     rotation_generating,
     SampledFunction,
     symplectic_form,
+    SymplecticMatrix,
     TruncationError,
     wigner_basis,
 )
-from metaplectic.grids import _centered_fft
+import metaplectic.phase_space as phase_space
+from metaplectic.grids import _box_radius, _centered_fft, _shear, _support_box
+from metaplectic.nufft import nufft2d2
+from metaplectic.symplectic import _integral_form, standard_j
 
 HBAR = 1.0
 
@@ -246,7 +250,7 @@ def test_phase_metaplectic_gaussian_eigenvector(phi0):
     nu = conley_zehnder(rotation_generating(alpha), 0)
     out = metaplectic_phase_apply(rotation(alpha), nu, w0)
     np.testing.assert_allclose(out.values,
-                               np.exp(-0.5j * alpha) * w0.values, atol=1e-8)
+                               np.exp(-0.5j * alpha) * w0.values, atol=1e-11)
 
 
 def test_phase_metaplectic_unitarity(phi0, h1):
@@ -255,7 +259,7 @@ def test_phase_metaplectic_unitarity(phi0, h1):
     for _ in range(2):
         s = _gated_symplectic(rng)
         out = metaplectic_phase_apply(s, _nu_from_factors(s), F)
-        assert abs(out.norm() - F.norm()) / F.norm() < 1e-4
+        assert abs(out.norm() - F.norm()) / F.norm() < 1e-10
 
 
 @pytest.mark.parametrize("form", ["alfa1", "alfa2"])
@@ -282,7 +286,7 @@ def test_phase_metaplectic_intertwines_config(grid, phi0, h1):
     lhs = metaplectic_phase_apply(s, nu, cross_wigner(phi0, h1))
     rhs = cross_wigner(word.apply(phi0), h1)
     err = np.max(np.abs(lhs.values - rhs.values)) / np.max(np.abs(rhs.values))
-    assert err < 1e-4
+    assert err < 1e-10
 
 
 def test_phase_metaplectic_inverse_branch(phi0, h1):
@@ -294,7 +298,115 @@ def test_phase_metaplectic_inverse_branch(phi0, h1):
     out = metaplectic_phase_apply(s, nu, F)
     back = metaplectic_phase_apply(s.inv(), (-nu) % 4, out)
     err = np.max(np.abs(back.values - F.values)) / np.max(np.abs(F.values))
-    assert err < 1e-4
+    assert err < 1e-10
+
+
+def _phase_apply_nufft(s, nu, F, form="s1"):
+    """The extended operator by the type-2 NUFFT: the same (M, pref) row, v
+    box, output box and chirp, the v lattice refined until the sheared
+    targets xi = dv G^T z / hbar lie in [-pi, pi), and the sum over it read
+    at those targets by nufft2d2 (to its 1e-10 relative)."""
+    m_s, pref = _integral_form(s, nu, twisted=form != "s1")
+    hbar, grid = F.hbar, F.grid
+    box = _support_box(F.values, pad=2)
+    (i0, i1), (k0, k1) = box
+    xo, po = grid.axes()
+    xs, ps = xo[i0:i1], po[k0:k1]
+    c_mat = 4.0 * m_s
+    g_mat = -(2.0 * standard_j(1) + c_mat)
+    r_out = (1.15 * np.linalg.svd(s.entries, compute_uv=False)[0] * _box_radius(box, (xo, po))
+             + 3.0 * math.sqrt(hbar))
+    ox, op = np.nonzero(np.abs(xo) <= r_out)[0], np.nonzero(np.abs(po) <= r_out)[0]
+    zx, zp = xo[ox[0]:ox[-1] + 1][:, None], po[op[0]:op[-1] + 1][None, :]
+    mv = (np.max(np.abs(xs)), np.max(np.abs(ps)))
+    mz = (np.max(np.abs(zx)), np.max(np.abs(zp)))
+    u = [max(1, math.ceil(step * 1.1 / math.pi * (
+        abs(c_mat[ax, 0]) * mv[0] + abs(c_mat[ax, 1]) * mv[1]
+        + abs(g_mat[0, ax]) * mz[0] + abs(g_mat[1, ax]) * mz[1]) / hbar + 1.0))
+        for ax, step in enumerate((grid.dx, grid.dp))]
+    work = phase_space._fft_upsample(F.values[i0:i1, k0:k1], (u[0] * (i1 - i0), u[1] * (k1 - k0)))
+    dv = (grid.dx / u[0], grid.dp / u[1])
+    nj, nk = work.shape
+    vx = xs[xs.size // 2] + (np.arange(nj) - nj // 2)[:, None] * dv[0]
+    vp = ps[ps.size // 2] + (np.arange(nk) - nk // 2)[None, :] * dv[1]
+    chirp = 0.5 * (c_mat[0, 0] * vx ** 2 + 2 * c_mat[0, 1] * vx * vp + c_mat[1, 1] * vp ** 2)
+    coeffs = work * np.exp(1j * chirp / hbar) * dv[0] * dv[1]
+    gz1 = (g_mat[0, 0] * zx + g_mat[1, 0] * zp) / hbar
+    gz2 = (g_mat[0, 1] * zx + g_mat[1, 1] * zp) / hbar
+    core = nufft2d2(dv[0] * gz1, dv[1] * gz2, coeffs)
+    quad_z = 0.5 * (c_mat[0, 0] * zx ** 2 + 2 * c_mat[0, 1] * zx * zp + c_mat[1, 1] * zp ** 2)
+    phase = quad_z / hbar + gz1 * vx[nj // 2, 0] + gz2 * vp[0, nk // 2]
+    out = np.zeros(grid.shape(), dtype=complex)
+    out[ox[0]:ox[-1] + 1, op[0]:op[-1] + 1] = (
+        4.0 * pref / (2.0 * math.pi * hbar) * np.exp(1j * phase) * core)
+    return out
+
+
+@pytest.mark.parametrize("seed", [9, 23, 40])
+def test_phase_apply_matches_nufft_evaluation(phi0, h1, seed):
+    # the shear and chirp-z evaluation against the NUFFT one on the same integral
+    s = _gated_symplectic(np.random.default_rng(seed))
+    nu = _nu_from_factors(s)
+    F = cross_wigner(phi0, h1)
+    ref = _phase_apply_nufft(s, nu, F)
+    out = metaplectic_phase_apply(s, nu, F).values
+    assert np.max(np.abs(out - ref)) / np.max(np.abs(ref)) < 1e-10
+
+
+# seeds of _gated_symplectic whose G the evaluator shears as (axis l, zeroed
+# row i) = (0, 0), (0, 1), (1, 0), (1, 1); S = -I has G = -2J, which already
+# has a zero entry, and is not sheared
+_PLAN_SEEDS = (11, 1, 0, 21, None)
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.5, 0.25])
+def test_phase_apply_intertwines_config_at_each_shear(monkeypatch, hbar):
+    # S~ W(phi0, h1) = W(S phi0, h1), for every shear the evaluator can pick
+    plans = []
+    plan = phase_space._shear_plan
+    monkeypatch.setattr(phase_space, "_shear_plan", lambda *a: plans.append(plan(*a)) or plans[-1])
+    grid = Grid(n=1, N=512, X=12.0)
+    phi0, h1 = gaussian(grid, hbar), hermite_function(1, grid, hbar)
+    F = cross_wigner(phi0, h1)
+    for seed in _PLAN_SEEDS:
+        s = (SymplecticMatrix(-np.eye(2)) if seed is None
+             else _gated_symplectic(np.random.default_rng(seed)))
+        (w1, m1), (w2, m2) = factor_pair(s)
+        nu = _nu_from_factors(s)
+        ref = cross_wigner(MetaplecticWord([(w1, m1), (w2, m2)]).apply(phi0), h1).values
+        for form in ("s1", "alfa1"):
+            out = metaplectic_phase_apply(s, nu, F, form=form).values
+            assert np.max(np.abs(out - ref)) / np.max(np.abs(ref)) < 1e-11, (seed, form)
+    assert {(l, i, u == 0) for l, u, _, i in plans} == {
+        (0, 0, False), (0, 1, False), (1, 0, False), (1, 1, False), (1, 0, True)}
+
+
+def test_phase_apply_raises_past_workspace_cap(monkeypatch, phi0, h1):
+    # the padded, sheared workspace is what the cap bounds
+    monkeypatch.setattr(phase_space, "_MAX_WORK_POINTS", 10_000)
+    with pytest.raises(TruncationError, match="refinement budget"):
+        metaplectic_phase_apply(rotation(2.0), 0, cross_wigner(phi0, h1))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("slope", [-1.7, 0.45])
+def test_shear_matches_dense_trigonometric_interpolant(axis, slope):
+    # line c moves by slope (c - lines // 2) cells: out = interpolant(j - that),
+    # zero where the read point leaves the line
+    rng = np.random.default_rng(axis)
+    n, lines = 24, 9
+    vals = rng.normal(size=(n, lines)) + 1j * rng.normal(size=(n, lines))
+    cells = slope * (np.arange(lines) - lines // 2)
+    spec = _centered_fft(vals, axes=(0,))
+    kappa = np.arange(n) - n // 2
+    expected = np.zeros_like(vals)
+    for c in range(lines):
+        y = np.arange(n) - cells[c]
+        dense = np.exp(2j * math.pi * np.multiply.outer(y - n // 2, kappa) / n) @ spec[:, c] / n
+        expected[:, c] = np.where((y >= 0) & (y < n), dense, 0.0)
+    if axis == 1:
+        vals, expected = vals.T, expected.T
+    np.testing.assert_allclose(_shear(vals, axis, slope), expected, rtol=0, atol=1e-13)
 
 
 def test_bopp_delta_symbol_bias_scales_quadratically(phi0, h1):
@@ -411,6 +523,27 @@ def test_bopp_matches_direct_shift_sum_on_general_grid(pgrid):
     out = bopp_apply(a_sigma, F).values
     expected = _bopp_direct(a_sigma, F)
     assert np.max(np.abs(expected)) > 0
+    assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_bopp_roll_off_matches_direct_shift_sum():
+    # F fills the grid, so R = 3 X = 18; a symbol of width 0.24 R weighs
+    # 3.9e-3 to 1.7e-4 of its peak on the roll-off 0.8 R - R, far above the
+    # 1e-14 keep mask and below the 1e-3 decay check on 0.9 R - R, so the
+    # shape of the cutoff enters the result
+    pgrid = PhaseGrid(1, 32, 6.0, 48, 5.0)
+    hbar, radius = 0.8, 18.0
+    F = _enveloped_phase_function(pgrid, hbar)
+    width = 0.24 * radius
+    zc = np.array([0.3, -0.2])
+
+    def a_sigma(zx, zp):
+        return (np.exp(-(zx * zx + zp * zp) / (2 * width ** 2))
+                * np.exp(-1j * (zp * zc[0] - zx * zc[1]) / hbar))
+
+    assert abs(a_sigma(radius, 0.0)) > 1e-4
+    out = bopp_apply(a_sigma, F).values
+    expected = _bopp_direct(a_sigma, F)
     assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 

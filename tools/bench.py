@@ -10,13 +10,16 @@ For every seed and every workload of ``BENCHMARK.json`` it runs
 once per workload traced (at the first seed).  With ``--parent`` it
 runs each command in the parent checkout too, alternating which side goes
 first, so that drift of a shared machine falls on both sides alike.  It
-also times three per-call rows, best of three calls each: the n = 2, N = 64
+also times four per-call rows, best of three calls each: the n = 2, N = 64
 quadrature oracle on perfbench's draws (``rng_for(seed, 3)``, seeds 0-7)
 against its closed-form image, the six ``bochner_apply`` calls of
 ``config_space`` (forms s1, s2, s3 on the pi/2 and 2pi/3 rotations of
 phi0, N = 512, X = 12) against the Mehler eigenphase exp(-i alpha / 2) phi0,
-and the four ``cross_wigner`` Hermite pairs of ``phase_space`` (N = 512,
-X = 12) against the closed-form W(phi0, phi0) or the dense Wigner integral.
+the four ``cross_wigner`` Hermite pairs of ``phase_space`` (N = 512,
+X = 12) against the closed-form W(phi0, phi0) or the dense Wigner integral,
+and the seven ``metaplectic_phase_apply`` calls of a ``phase_space`` round at
+seeds 0-2 against the dense Wigner integral of S phi0, with S phi0 in closed
+form from ``reference.gaussian_word``.
 
 The file records the machine (``nproc``, the CPU model from
 ``/proc/cpuinfo``), the Python and NumPy versions, each checkout's git
@@ -114,12 +117,59 @@ for a, b in ((0, 0), (0, 1), (1, 2), (2, 2)):
 print(json.dumps(rows))
 """
 
+# The metaplectic_phase_apply calls of phase_space at seeds 0-2 (forms s1,
+# alfa1, alfa2 on the seeded S, the three forms of the 2pi/3 rotation, and
+# the pi/3 rotation of s0_via_phase_metaplectic), best of three each; the
+# reference is the dense Wigner integral of S phi0 from reference.gaussian_word.
+PHASE_APPLY_SNIPPET = r"""
+import json, math, time
+import inputs, reference as ref
+import metaplectic as mp
+from wl_phase_space import _seeded_phase_map
+x, p = ref.phase_axes(512, 12.0, 1.0)
+hk = [mp.SampledFunction(mp.Grid(1, 512, 12.0), 1.0, ref.hermite(k, x, 1.0)) for k in range(2)]
+wig = {b: mp.cross_wigner(hk[0], hk[b]) for b in range(2)}
+
+
+def rotation_map(alpha, b):
+    P, L, Q = ref.rotation_generating(alpha)
+
+    def reference():
+        a, c = ref.gaussian_word([(P, L, Q, 0)], *ref.standard_gaussian(1, 1.0), 1.0)
+        return ref.wigner_dense(lambda t: ref.gaussian_values(a, c, [t], 1.0),
+                                lambda t: ref.hermite(b, t, 1.0), x, p, 1.0)
+    return mp.rotation(alpha), mp.conley_zehnder(mp.rotation_generating(alpha), 0), reference
+
+
+calls = []
+for seed in (0, 1, 2):
+    rng = inputs.rng_for(seed, 7)
+    for form in ("s1", "alfa1", "alfa2"):
+        calls.append((f"seed {seed}", form, 1,
+                      *_seeded_phase_map(mp, inputs.phase_symplectic(rng), x, p)))
+for form in ("s1", "alfa1", "alfa2"):
+    calls.append(("rotation 2pi/3", form, 0, *rotation_map(2 * math.pi / 3, 0)))
+calls.append(("rotation pi/3, s0_via_phase_metaplectic", "s1", 1, *rotation_map(math.pi / 3, 1)))
+rows = []
+for label, form, b, s, nu, reference in calls:
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        out = mp.metaplectic_phase_apply(s, nu, wig[b], form=form).values
+        times.append(time.perf_counter() - t0)
+    rows.append({"input": label, "form": form, "ms": 1e3 * min(times),
+                 "error": ref.rel_err(out, reference())})
+print(json.dumps(rows))
+"""
+
 PER_CALL = (
     ("qfio_apply quadrature, n = 2, N = 64, full L", "QUADRATURE_SNIPPET", QUADRATURE_SNIPPET),
     ("bochner_apply s1, s2, s3 on rotations of phi0, N = 512", "BOCHNER_SNIPPET",
      BOCHNER_SNIPPET),
     ("cross_wigner of four Hermite pairs, N = 512", "CROSS_WIGNER_SNIPPET",
      CROSS_WIGNER_SNIPPET),
+    ("metaplectic_phase_apply calls of phase_space, seeds 0-2, N = 512",
+     "PHASE_APPLY_SNIPPET", PHASE_APPLY_SNIPPET),
 )
 
 
