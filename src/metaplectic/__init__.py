@@ -45,10 +45,10 @@ from .symplectic import (cayley, cayley_inverse, chirp_matrix,
                          SymplecticMatrix)
 from .verify import run_suite, SUITES
 
-# Loaded with the package, although no module imports it at load time
-# (grids imports it lazily, since nufft imports grids): after
-# ``import metaplectic`` every module but the command line is in place, and
-# perfbench's tracer wraps the functions of exactly those modules.
+# Loaded with the package, although no package module calls it (it is the
+# tests' reference evaluator): after ``import metaplectic`` every module but
+# the command line is in place, and perfbench's tracer wraps the functions
+# of exactly those modules, so the NUFFT keeps its per-layer metrics.
 from . import nufft
 
 __version__ = "0.1.0"

@@ -205,24 +205,81 @@ def hermite_function(k: int, grid: Grid, hbar: float) -> SampledFunction:
     return SampledFunction(grid, hbar, vals.astype(complex))
 
 
-def interpolate_values(values: np.ndarray, grid: _Lattice,
-                       points: list[np.ndarray]) -> np.ndarray:
-    """The trigonometric interpolant of sampled values at arbitrary points,
-    summed from the centered spectrum by ``nufft2d2`` (to its 1e-10
-    relative).  ``points`` holds one coordinate array per lattice axis (one
-    or two axes), broadcast to a common shape.  A point beyond an axis's
-    band [-width, width), one period of the interpolant, evaluates to 0
-    (the tails) instead of wrapping."""
-    from .nufft import nufft2d2  # nufft imports this module
+def interpolate_values(values: np.ndarray, grid: _Lattice, mat) -> np.ndarray:
+    """Samples of z -> values(mat z) on the lattice (one or two axes, ``mat``
+    square), from the trigonometric interpolant: in index units,
+    diag(1/h) mat diag(h) for the steps h, ``_ldu_plan`` factors it and a
+    shear, one ``_dilate`` per axis and a shear sum it (Unser, Thevenaz &
+    Yaroslavsky, IEEE TIP 4, 1995), each pass on a band-limited line that
+    holds its support: exact to the input's content below rounding (eps of
+    its peak, in samples and spectrum).  Beyond the band it reads 0."""
+    mat = np.asarray(mat, dtype=float)
+    if mat.shape != (values.ndim,) * 2 or not np.all(np.isfinite(mat)) or not mat.any():
+        raise GridMismatchError(f"mat must be a finite nonzero {values.ndim}x{values.ndim} matrix")
+    steps = np.asarray(grid.steps)
+    mat = mat * steps / steps[:, None]
+    if values.ndim == 1:
+        return _dilate(values, 0, mat[0, 0], values.size)
+    # values(P_out Lo D U P_in t), the swaps P by transposes.  Axis 0 carries
+    # frequencies w_0 + c w_1 after the first shear, a (w_0 + c w_1) before
+    # the last: u_in, u_out rows per cell hold them (in units of pi per cell)
+    (swap_out, swap_in), (a, d), b, c = _ldu_plan(mat)
+    work = values.T if swap_out else values
+    shape = grid.shape()[::-1] if swap_in else grid.shape()
+    band = _reach(_centered_fft(work), 2.0 / work.shape[0], 2.0 * c / work.shape[1])
+    u_in, u_out = (max(1, math.ceil(r * band)) for r in (1.0, abs(a) if b else 0.0))
+    # each shear's axis is padded as far as the sheared samples reach
+    reach_c, reach_b = _reach(work, -c, 1.0), _reach(work, 1.0 / a, 0.0) if b else 0.0
+    pad_c, pad_b = (max(0, math.ceil(r - (size - size // 2 - 1)))
+                    for r, size in ((reach_c, work.shape[1]), (reach_b, shape[0])))
+    if u_in > 1:
+        work = _dilate(work, 0, 1.0 / u_in, u_in * work.shape[0])
+    if c:
+        work = _shear(np.pad(work, ((0, 0), (pad_c, pad_c))), 1, -c / u_in)
+    rows = u_out * (shape[0] + 2 * pad_b)
+    work = _dilate(_dilate(work, 1, d, shape[1]), 0, a * u_in / u_out, rows)
+    if b:
+        work = _shear(work, 0, -b * u_out)
+    first = rows // 2 % u_out + u_out * pad_b  # the row of centered index -(shape[0] // 2)
+    work = work[first:first + u_out * shape[0]:u_out]
+    return work.T if swap_in else work
 
-    xi = [2.0 * math.pi * (p / step) / size
-          for p, step, size in zip(np.broadcast_arrays(*points), grid.steps, grid.sizes)]
-    inside = functools.reduce(np.logical_and, [(t >= -math.pi) & (t < math.pi) for t in xi])
-    xi = [t[inside] for t in xi] + [np.zeros(np.count_nonzero(inside))] * (2 - len(xi))
-    coeffs = (_centered_fft(values) / values.size).reshape(values.shape + (1,) * (2 - values.ndim))
-    out = np.zeros(inside.shape, dtype=complex)
-    out[inside] = nufft2d2(*xi, coeffs)
-    return out
+
+def _reach(values: np.ndarray, w0: float, w1: float) -> float:
+    """Largest |w0 k0 + w1 k1| over the centered indices (k0, k1) of the
+    entries of a 2-D array above rounding, eps times its peak; 0 if none."""
+    a = np.abs(values)
+    k0, k1 = np.nonzero(a > np.finfo(float).eps * a.max())
+    k = w0 * (k0 - a.shape[0] // 2) + w1 * (k1 - a.shape[1] // 2)
+    return float(np.max(np.abs(k), initial=0.0))
+
+
+def _ldu_plan(mat: np.ndarray):
+    """((swap_out, swap_in), (a, d), b, c) with mat = P_out [[1, 0], [c, 1]]
+    diag(a, d) [[1, b], [0, 1]] P_in, P swapping the axes where flagged: the
+    pivot a = mat[swap_out, swap_in] is the nonzero entry (mat must have one)
+    with the smallest max(|b|, |c|), (0, 0) on ties: a diagonal mat takes none."""
+    plans = []
+    for i, k in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        if mat[i, k] != 0.0:
+            b, c = mat[i, 1 - k] / mat[i, k], mat[1 - i, k] / mat[i, k]
+            plans.append((max(abs(b), abs(c)), (bool(i), bool(k)),
+                          (mat[i, k], mat[1 - i, 1 - k] - c * mat[i, 1 - k]), b, c))
+    return min(plans, key=lambda plan: plan[0])[1:]
+
+
+def _dilate(values: np.ndarray, axis: int, scale: float, n_out: int) -> np.ndarray:
+    """Along ``axis``, the interpolant at scale t for the n_out centered
+    indices t: one ``_fourier_sum_axis`` pass on the centered spectrum.
+    A read beyond the lattice [-(N // 2), N - N // 2) is 0, never wrapped."""
+    size = values.shape[axis]
+    theta = 2.0 * math.pi * scale / size
+    out = _fourier_sum_axis(_centered_fft(values, axes=(axis,)) / size, axis,
+                            x0=-(size // 2), dx=1.0, p0=-(n_out // 2) * theta, dp=theta,
+                            n_out=n_out, hbar=1.0, sign=1)
+    t = scale * (np.arange(n_out) - n_out // 2)
+    keep = (t >= -(size // 2)) & (t < size - size // 2)
+    return out * keep.reshape((-1,) + (1,) * (values.ndim - 1 - axis))
 
 
 def _ramp_shift(values: np.ndarray, axis: int, cells, ramp: np.ndarray) -> np.ndarray:
@@ -350,13 +407,20 @@ def _integer_shift(values: np.ndarray, shifts: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _edge_ratio(values: np.ndarray) -> float:
-    """Largest |value| in the two outermost layers at either end of every
-    axis, relative to the largest |value| overall; 0 when all vanish."""
+def _edge_ratio(values: np.ndarray, inside=None) -> float:
+    """Largest |value| in the two outermost layers at either end of every axis
+    (of the region ``inside``), relative to the peak; 0 when all vanish."""
     a = np.abs(values)
     peak = float(np.max(a))
     if peak == 0.0:
         return 0.0
+    if inside is not None:  # the region less its points 2 cells deep inside it
+        core = inside.copy()
+        for ax in range(a.ndim):
+            c, i = np.moveaxis(core, ax, 0), np.moveaxis(inside, ax, 0)
+            c[2:-2] &= i[:-4] & i[1:-3] & i[3:-1] & i[4:]
+            c[:2] = c[-2:] = False
+        return float(np.max(a[inside & ~core], initial=0.0)) / peak
     worst = 0.0
     for ax in range(a.ndim):
         layers = np.moveaxis(a, ax, 0)
@@ -364,11 +428,11 @@ def _edge_ratio(values: np.ndarray) -> float:
     return worst / peak
 
 
-def _warn_at_edge(values: np.ndarray, what: str, tol: float = config.TAIL_TOL) -> None:
-    """Warn (BandwidthExceededWarning) when the edge layers of ``values``
-    exceed ``tol`` times its peak: mass has reached the lattice edge, so
-    whatever lies beyond it is lost or aliased."""
-    edge = _edge_ratio(values)
+def _warn_at_edge(values: np.ndarray, what: str, tol=config.TAIL_TOL, inside=None) -> None:
+    """Warn (BandwidthExceededWarning) when the edge layers of ``values`` (of
+    the region ``inside``) exceed ``tol`` times its peak: mass has reached
+    the lattice edge, so whatever lies beyond it is lost or aliased."""
+    edge = _edge_ratio(values, inside)
     if edge > tol:
         warnings.warn(
             f"{what}: relative tail {edge:.2e} > {tol:g}; results may lose accuracy",

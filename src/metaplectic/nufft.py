@@ -1,4 +1,4 @@
-"""Type-2 nonuniform FFT in two dimensions.
+"""Type-2 nonuniform FFT in two dimensions, the tests' reference evaluator.
 
 Evaluates trigonometric sums
 

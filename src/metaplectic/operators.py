@@ -11,8 +11,8 @@ J = i^{-n/2} F_hbar is the hbar-scaled Fourier transform.  Three
 independent realizations are provided:
 
 * ``qfio_apply(..., method="factored")``: the chirp/scale/Fourier word,
-  with the scale and Fourier steps fused into one exact chirp-z Fourier
-  sum so no intermediate regridding occurs;
+  the scale and Fourier steps fused into exact chirp-z Fourier sums (for a
+  full L in n = 2, between two exact shears), with no regridding;
 * ``qfio_apply(..., method="quadrature")``: direct trapezoid summation of
   the kernel integral;
 * ``bochner_apply``: the phase-space integral over Heisenberg-Weyl
@@ -32,8 +32,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import config
 from .errors import BandwidthExceededWarning, FactorizationFailedError, GridMismatchError
 from .grids import (SampledFunction, _box_radius, _centered_fft, _cross_chirp,
-                    _fourier_sum_axis, _smooth_cutoff, _support_box, _translate,
-                    _warn_at_edge, interpolate_values)
+                    _fourier_sum_axis, _ldu_plan, _shear, _smooth_cutoff, _support_box,
+                    _translate, _warn_at_edge, interpolate_values)
 from .indices import maslov_branch
 from .symplectic import (
     GeneratingFunction,
@@ -88,17 +88,16 @@ def scale_op(f: SampledFunction, l: np.ndarray, m: int) -> SampledFunction:
 
     The branch m must match the sign of det L (even iff positive); L is
     any invertible n x n matrix.  Values at non-lattice points L x come
-    from the trigonometric interpolant (``grids.interpolate_values``);
-    anything pulled from beyond the grid is treated as tail (zero).
+    from the trigonometric interpolant (``grids.interpolate_values``, exact
+    to f's content below rounding); anything pulled from beyond the grid is
+    treated as tail (zero).
     """
     l = np.atleast_2d(np.asarray(l, dtype=float))
-    m = maslov_branch(l, m)
     n = f.grid.n
-    if l.shape != (n, n):
-        raise GridMismatchError(f"scaling matrix must be {n}x{n}")
-    axes = f.grid.meshgrid()
-    pts = [sum(l[i, k] * axes[k] for k in range(n)) for i in range(n)]
-    vals = interpolate_values(f.values, f.grid, pts)
+    if l.shape != (n, n) or not np.all(np.isfinite(l)):
+        raise GridMismatchError(f"scaling matrix must be a finite {n}x{n} matrix")
+    m = maslov_branch(l, m)
+    vals = interpolate_values(f.values, f.grid, l)
     amp = (1j ** m) * math.sqrt(abs(np.linalg.det(l)))
     return f.with_values(amp * vals)
 
@@ -146,27 +145,44 @@ def heisenberg_weyl(f: SampledFunction, z0: np.ndarray) -> SampledFunction:
 # quadratic Fourier integral operators
 
 def _qfio_factored(w: GeneratingFunction, m: int, f: SampledFunction) -> SampledFunction:
-    """chirp(P) . scale(L, m) . J . chirp(Q), with scale . J fused into a
-    single chirp-z Fourier sum evaluated at the targets L x on the output
-    grid (no regridding, hence no interpolation loss).  A target beyond the
-    sum's period [-pi hbar / dx, pi hbar / dx) is zeroed, never wrapped."""
-    n = f.grid.n
-    if n == 2 and (abs(w.L[0, 1]) > 0 or abs(w.L[1, 0]) > 0):
-        raise GridMismatchError("factored method supports diagonal L only for n = 2")
-    g = chirp_multiply(f, w.Q)
-    # (J g)(L x_t) for every output point x_t, axis by axis.
-    vals = g.values
-    x = f.grid.axis()
-    band = math.pi * f.hbar / f.grid.dx
-    keeps = [(l * x >= -band) & (l * x < band) for l in np.diag(w.L)]
-    for ax, l_ax in enumerate(np.diag(w.L)):
+    """chirp(P) . scale(L, m) . J . chirp(Q), with scale . J fused into
+    chirp-z Fourier sums at the targets L x (no regridding).  In n = 2,
+    L = P_out Lo D U P_in (``grids._ldu_plan``) and (J g)(Lo p) =
+    J(g o Lo^{-T})(p): g is transposed by P_out and sheared by Lo^{-T}, the
+    sums run per axis at D, the output is sheared by U and transposed by
+    P_in; a diagonal L takes neither.  A target with some (L x)_i or
+    (D U P_in x)_i beyond the period [-pi hbar / dx, pi hbar / dx) is zeroed."""
+    n, size, dx = f.grid.n, f.grid.N, f.grid.dx
+    (swap_out, swap_in), diag, b, c = _ldu_plan(w.L) if n == 2 else ((False,) * 2, w.L[0], 0, 0)
+    vals = chirp_multiply(f, w.Q).values
+    vals = vals.T if swap_out else vals
+    # (J g)(L x_t), axis by axis; axis 0 is padded by each shear's reach |slope| X
+    pad = [math.ceil(abs(s) * (size // 2)) for s in (c, b)]
+    src, tgt = ([(np.arange(-p, size + p) - size // 2) * dx, f.grid.axis()] for p in pad)
+    if c:
+        vals = _shear(np.pad(vals, [(pad[0],) * 2, (0, 0)]), 0, c)
+    band = math.pi * f.hbar / dx
+    keeps = [(l * t >= -band) & (l * t < band) for l, t in zip(diag, tgt)]
+    for ax, l_ax in enumerate(diag):
         vals = _fourier_sum_axis(
             vals, ax,
-            x0=x[0], dx=f.grid.dx,
-            p0=l_ax * x[0], dp=l_ax * f.grid.dx,
-            n_out=f.grid.N, hbar=f.hbar, sign=-1,
+            x0=src[ax][0], dx=dx,
+            p0=l_ax * tgt[ax][0], dp=l_ax * dx,
+            n_out=tgt[ax].size, hbar=f.hbar, sign=-1,
         )
         vals = vals * keeps[ax].reshape((-1,) + (1,) * (n - 1 - ax))
+    if b:
+        vals = _shear(vals, 0, -b)[pad[1]:pad[1] + size]
+    vals = vals.T if swap_in else vals
+    inside = None  # for a diagonal L the kept targets are the box of keeps
+    if b or c or swap_in or swap_out:
+        mid = [(diag[0], diag[0] * b), (0.0, diag[1])]
+        mesh = np.ix_(*f.grid.axes())
+        inside = np.ones(vals.shape, dtype=bool)
+        for row in {*map(tuple, w.L), *(r[::-1] if swap_in else r for r in mid)}:
+            lx = sum(l_ik * x_k for l_ik, x_k in zip(row, mesh))
+            inside &= (lx >= -band) & (lx < band)
+        vals[~inside] = 0.0
     pref = (
         f.grid.cell_volume()
         * (2.0 * math.pi * f.hbar) ** (-n / 2.0)
@@ -174,9 +190,13 @@ def _qfio_factored(w: GeneratingFunction, m: int, f: SampledFunction) -> Sampled
         * (1j ** m) * math.sqrt(abs(np.linalg.det(w.L)))
     )
     out = chirp_multiply(f.with_values(pref * vals), w.P)
-    limit = ("grid edge; increase X" if all(k.all() for k in keeps)
+    if inside is None:
+        in_band, edge = all(k.all() for k in keeps), out.values[np.ix_(*keeps)]
+    else:
+        in_band, edge = inside.all(), out.values
+    limit = ("grid edge; increase X" if in_band
              else "alias limit |L x| = pi hbar / dx; increase N or decrease X")
-    _warn_at_edge(out.values[np.ix_(*keeps)], f"operator output reaches the {limit}")
+    _warn_at_edge(edge, f"operator output reaches the {limit}", inside=inside)
     return out
 
 

@@ -185,14 +185,11 @@ def phase_shift(F: PhaseFunction, z0: np.ndarray) -> PhaseFunction:
 
 
 def compose_linear(F: PhaseFunction, mat: np.ndarray) -> PhaseFunction:
-    """Samples of F(mat z) on F's own grid, from its trigonometric interpolant."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != (2, 2):
-        raise GridMismatchError("mat must be 2x2")
-    xx, pp = F.grid.meshgrid()
-    return F.with_values(interpolate_values(F.values, F.grid, [
-        mat[0, 0] * xx + mat[0, 1] * pp, mat[1, 0] * xx + mat[1, 1] * pp,
-    ]))
+    """Samples of F(mat z) on F's own grid: the pull-back of its
+    trigonometric interpolant by ``grids.interpolate_values``, exact to F's
+    content below rounding.  With mat = S^{-1} it is the covariance
+    W(S f) = W(f) o S^{-1}."""
+    return F.with_values(interpolate_values(F.values, F.grid, mat))
 
 
 def moyal_inner(F: PhaseFunction, G: PhaseFunction) -> complex:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, file formats, config precedence,
 exit codes, and report determinism."""
 
+import ast
 import io
 import json
 import math
@@ -66,6 +67,24 @@ def test_package_import_loads_every_module_but_cli():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": src})
     assert set(proc.stdout.split()) == modules - {"cli"}
+
+
+def test_only_the_package_init_imports_nufft():
+    # the NUFFT is the tests' reference evaluator: no package module may
+    # call it, so that deleting nufft.py takes one line of __init__ with it
+    import metaplectic
+    importers = set()
+    for path in sorted(Path(metaplectic.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "nufft" for name in names):
+                importers.add(path.name)
+    assert importers == {"__init__.py"}
 
 
 def test_parser_covers_all_subcommands():
@@ -254,7 +273,7 @@ def test_demo_rotation_subcommand(workdir, capsys):
     summary = json.loads((outdir / "summary.json").read_text())
     assert abs(summary["cayley_diagonal_computed"] - 0.5) < 1e-12
     assert abs(summary["det_s_minus_i"] - 2.0) < 1e-12
-    assert summary["wigner_covariance_error"] < 1e-4
+    assert summary["wigner_covariance_error"] < 1e-12  # measured 2.8e-13
     for name in ("input.csv", "output.csv", "wigner_input.csv",
                  "wigner_output.csv"):
         assert (outdir / name).exists()

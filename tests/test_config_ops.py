@@ -42,6 +42,7 @@ from metaplectic import (
     support_radius,
 )
 from metaplectic import config
+import metaplectic.operators as operators
 from metaplectic.grids import (_cross_chirp, _fourier_sum_axis, _integer_shift, _next_fast_len,
                               _smooth_cutoff)
 from metaplectic.symplectic import _integral_form
@@ -95,14 +96,23 @@ def test_chirp_multiply_phase(grid, phi0):
 def test_scale_op_non_diagonal_l_in_two_dimensions():
     # i^m sqrt|det L| f(L x) for the Gaussian is the closed form
     # sqrt|det L| (pi hbar)^{-1/2} exp(-|L x|^2 / 2 hbar); the trigonometric
-    # interpolant at N = 128, X = 8 reproduces it to 3.7e-12 relative
+    # interpolant at N = 128, X = 8 reproduces it to 4.9e-14 relative
     g2 = Grid(n=2, N=128, X=8.0)
     l = np.array([[1.2, 0.5], [-0.3, 0.9]])
     out = scale_op(gaussian(g2, HBAR), l, 0)
     x, y = g2.meshgrid()
     r2 = (l[0, 0] * x + l[0, 1] * y) ** 2 + (l[1, 0] * x + l[1, 1] * y) ** 2
     ref = math.sqrt(np.linalg.det(l) / (math.pi * HBAR)) * np.exp(-r2 / (2 * HBAR))
-    assert np.max(np.abs(out.values - ref)) / np.max(ref) < 1e-10
+    assert np.max(np.abs(out.values - ref)) / np.max(ref) < 1e-12
+
+
+@pytest.mark.parametrize("l", [[[1.0, 0.5]], [[1.0, np.nan], [0.0, 1.0]]], ids=["1x2", "nan"])
+@pytest.mark.parametrize("m", [0, 1])
+def test_scale_op_rejects_bad_matrix(l, m):
+    # L is checked before the Maslov branch, which raised NumPy's
+    # LinAlgError on a 1 x 2 L and a parity error or nothing on a NaN
+    with pytest.raises(GridMismatchError):
+        scale_op(gaussian(Grid(n=2, N=32, X=10.0), HBAR), np.array(l), m)
 
 
 def test_scale_op_unitary_and_parity(grid, phi0):
@@ -595,6 +605,190 @@ def test_quadrature_n2_full_l_matches_closed_form(hbar):
         y = np.einsum("ik,k...->i...", l, np.array(mesh)) - p0[:, None, None]
         resolved = np.all(np.abs(y) < band, axis=0)
         assert np.max(np.abs(out - ref)[resolved]) < 1e-12 * np.max(np.abs(ref))
+
+
+def _full_l_draws(hbar, grid):
+    """The input and the five draws of the closed-form quadrature test."""
+    p0 = np.array([0.6, -0.4])
+    f = heisenberg_weyl(gaussian(grid, hbar), np.concatenate([np.zeros(2), p0]))
+    rng = np.random.default_rng(16)
+    for k in range(5):
+        p, q = (0.5 * (a + a.T) for a in rng.uniform(-0.5, 0.5, size=(2, 2, 2)))
+        l = np.eye(2) + rng.uniform(-0.3, 0.3, size=(2, 2))
+        yield f, p0, GeneratingFunction(p, l, q), (0 if np.linalg.det(l) > 0 else 1) + 2 * (k % 2)
+
+
+def _in_band(l, grid, hbar):
+    """Targets x with every (L x)_i in the band [-pi hbar / dx, pi hbar / dx)."""
+    band = math.pi * hbar / grid.dx
+    y = np.einsum("ik,k...->i...", l, np.array(grid.meshgrid()))
+    return np.all((y >= -band) & (y < band), axis=0)
+
+
+def test_factored_n2_full_l_matches_closed_form():
+    # the shear, per-axis chirp-z and shear route for a full L, on the five
+    # draws and on each with its first row negated (det L < 0, odd branch),
+    # measured 4.0e-14 to 6.9e-14; the band holds the whole of
+    # Grid(2, 128, 12) at hbar = 1, so nothing may warn
+    grid = Grid(n=2, N=128, X=12.0)
+    for f, p0, w, m in _full_l_draws(1.0, grid):
+        flip = GeneratingFunction(w.P, np.diag([-1.0, 1.0]) @ w.L, w.Q)
+        for w, m in ((w, m), (flip, m + 1)):
+            with _no_warnings():
+                out = qfio_apply(w, m, f).values
+            ref = _gaussian_image_nd(w, m, p0, grid.meshgrid(), 1.0)
+            assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_factored_n2_every_pivot_matches_closed_form(monkeypatch):
+    # one L per pivot placement, and one whose pivot swaps the input axes
+    # with no input shear (c = 0)
+    plans = []
+    plan = operators._ldu_plan
+    monkeypatch.setattr(operators, "_ldu_plan", lambda mat: plans.append(plan(mat)) or plans[-1])
+    grid = Grid(n=2, N=128, X=12.0)
+    p0 = np.array([0.6, -0.4])
+    f = heisenberg_weyl(gaussian(grid, HBAR), np.concatenate([np.zeros(2), p0]))
+    pq = np.array([[0.3, -0.1], [-0.1, 0.2]])
+    for l in ([[1.2, 0.3], [-0.2, 0.9]], [[0.3, 1.2], [0.9, -0.2]], [[-0.2, 0.9], [1.2, 0.3]],
+              [[0.9, -0.2], [0.3, 1.2]], [[0.0, 1.0], [2.0, 0.5]]):
+        w = GeneratingFunction(pq, np.array(l), -pq)
+        m = 0 if np.linalg.det(w.L) > 0 else 1
+        with _no_warnings():
+            out = qfio_apply(w, m, f).values
+        ref = _gaussian_image_nd(w, m, p0, grid.meshgrid(), HBAR)
+        assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref)), l
+    assert [swaps for swaps, *_ in plans] == [
+        (False, False), (False, True), (True, False), (True, True), (True, False)]
+    assert plans[-1][3] == 0.0
+
+
+def test_factored_n2_full_l_matches_quadrature_in_band():
+    # on Grid(2, 64, 10) at hbar = 1 the band holds 69-100 % of the grid:
+    # there the two routes sum the same integrand; beyond it the quadrature
+    # wraps and the factored route zeroes (measured 1.7e-14 to 4.1e-14)
+    grid = Grid(n=2, N=64, X=10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BandwidthExceededWarning)
+        for f, _, w, m in _full_l_draws(1.0, grid):
+            out = qfio_apply(w, m, f).values
+            ref = qfio_apply(w, m, f, method="quadrature").values
+            inside = _in_band(w.L, grid, 1.0)
+            assert np.max(np.abs(out - ref)[inside]) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_factored_n2_full_l_warns_and_never_wraps():
+    grid = Grid(n=2, N=64, X=8.0)
+    for f, _, w, m in _full_l_draws(0.5, grid):
+        with pytest.warns(BandwidthExceededWarning, match="alias limit"):
+            out = qfio_apply(w, m, f).values
+        inside = _in_band(w.L, grid, 0.5)
+        assert not inside.all() and np.all(out[~inside] == 0.0)
+
+
+def test_factored_n2_shears_drop_no_sample():
+    # L = [[1, 1], [-1, 1]] takes both shears at slope 1: the sheared input
+    # and the output's reads reach |slope| X beyond the grid, where the
+    # Gaussian is still 1e-7; unpadded, the error was 1.6e-8 (measured 2.7e-15)
+    grid = Grid(n=2, N=128, X=8.0)
+    w = GeneratingFunction(np.zeros((2, 2)), np.array([[1.0, 1.0], [-1.0, 1.0]]),
+                           np.zeros((2, 2)))
+    with _no_warnings():
+        out = qfio_apply(w, 0, gaussian(grid, HBAR)).values
+    ref = _gaussian_image_nd(w, 0, np.zeros(2), grid.meshgrid(), HBAR)
+    assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_factored_n2_warns_at_the_intermediate_band():
+    # L = [[1, 0], [1, 1]] takes the lower shear c = 1, and the chirp-z sums
+    # run at D U x = x: their band |x_1| < pi hbar / dx cuts through targets
+    # whose L x is in band, where the Gaussian's image reaches 6.7e-10 of its
+    # peak.  Those targets are zeroed, with a warning, and the rest match the
+    # closed form (1.7e-15)
+    grid, hbar = Grid(n=2, N=64, X=8.0), 0.5
+    w = GeneratingFunction(np.zeros((2, 2)), np.array([[1.0, 0.0], [1.0, 1.0]]),
+                           np.zeros((2, 2)))
+    with pytest.warns(BandwidthExceededWarning, match="increase N or decrease X"):
+        out = qfio_apply(w, 0, gaussian(grid, hbar)).values
+    ref = _gaussian_image_nd(w, 0, np.zeros(2), grid.meshgrid(), hbar)
+    x1, band = grid.meshgrid()[1], math.pi * hbar / grid.dx
+    kept = _in_band(w.L, grid, hbar) & (x1 >= -band) & (x1 < band)
+    assert np.max(np.abs(ref[~kept])) > 1e-10 * np.max(np.abs(ref))
+    assert np.all(out[~kept] == 0.0)
+    assert np.max(np.abs(out - ref)[kept]) < 1e-12 * np.max(np.abs(ref))
+
+
+def _gaussian_word_nd(factors, mesh, hbar):
+    """Closed form of a word applied to (pi hbar)^{-n/4} exp(-|x|^2 / 2 hbar):
+    a Gaussian c exp(i x.G x / 2 hbar) goes under (W, m) to G' = P - L^T B^{-1} L,
+    c' = c e^{-i pi n/4} i^m sqrt|det L| / det(-i B)^{1/2} with B = Q + G,
+    the root a product of principal roots of eigenvalues (Re > 0)."""
+    n = len(mesh)
+    gam, c = 1j * np.eye(n), (math.pi * hbar) ** (-n / 4)
+    for w, m in reversed(factors):
+        b = w.Q + gam
+        c *= (np.exp(-0.25j * math.pi * n) * 1j ** m * math.sqrt(abs(np.linalg.det(w.L)))
+              / np.prod(np.sqrt(np.linalg.eigvals(-1j * b))))
+        gam = w.P - w.L.T @ np.linalg.solve(b, w.L)
+    return c * np.exp(1j * sum(gam[i, k] * mesh[i] * mesh[k]
+                               for i in range(n) for k in range(n)) / (2 * hbar))
+
+
+def test_factor_pair_words_n2_match_closed_form():
+    # factor_pair's left factor has a full L; the diagonal-only factored
+    # route raised GridMismatchError on every one of these words (measured
+    # 6.7e-14 to 1.0e-13)
+    grid = Grid(n=2, N=256, X=12.0)
+    phi0 = gaussian(grid, HBAR)
+    rng = np.random.default_rng(3)
+    words = 0
+    while words < 4:
+        s = random_symplectic(2, rng)
+        if np.linalg.svd(s.entries, compute_uv=False)[0] > 2.0:
+            continue
+        factors = factor_pair(s)
+        assert any(w.L[0, 1] != 0 for w, _ in factors)
+        out = MetaplecticWord(factors).apply(phi0).values
+        ref = _gaussian_word_nd(factors, grid.meshgrid(), HBAR)
+        assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
+        words += 1
+
+
+def _per_axis_factored(w, m, f):
+    """The diagonal-L factored route as it was before the shear factorization:
+    chirp Q, one chirp-z sum per axis at diag(L) with its band mask, chirp P."""
+    n = f.grid.n
+    vals = chirp_multiply(f, w.Q).values
+    x = f.grid.axis()
+    band = math.pi * f.hbar / f.grid.dx
+    keeps = [(l * x >= -band) & (l * x < band) for l in np.diag(w.L)]
+    for ax, l_ax in enumerate(np.diag(w.L)):
+        vals = _fourier_sum_axis(vals, ax, x0=x[0], dx=f.grid.dx, p0=l_ax * x[0],
+                                 dp=l_ax * f.grid.dx, n_out=f.grid.N, hbar=f.hbar, sign=-1)
+        vals = vals * keeps[ax].reshape((-1,) + (1,) * (n - 1 - ax))
+    pref = (f.grid.cell_volume() * (2.0 * math.pi * f.hbar) ** (-n / 2.0)
+            * np.exp(-1j * math.pi * n / 4.0) * (1j ** m) * math.sqrt(abs(np.linalg.det(w.L))))
+    return chirp_multiply(f.with_values(pref * vals), w.P).values
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.1])
+def test_factored_diagonal_l_is_bit_identical_to_per_axis_route(hbar):
+    # a diagonal L takes no shear and no swap: the outputs are the per-axis
+    # route's, bit for bit, in n = 1 and n = 2 (at hbar = 0.1 the band
+    # masks zero targets too)
+    rng = np.random.default_rng(7)
+    for n, size in ((1, 512), (2, 256)):
+        grid = Grid(n=n, N=size, X=12.0)
+        fs = [gaussian(grid, hbar), heisenberg_weyl(gaussian(grid, hbar), np.full(2 * n, 0.7))]
+        for _ in range(2):
+            p, q = (np.diag(rng.uniform(-1.0, 1.0, size=n)) for _ in range(2))
+            l = np.diag(rng.choice([-1, 1], size=n) * rng.uniform(0.6, 1.4, size=n))
+            w = GeneratingFunction(p, l, q)
+            m = 0 if np.linalg.det(l) > 0 else 1
+            for f in fs:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", BandwidthExceededWarning)
+                    assert np.array_equal(qfio_apply(w, m, f).values, _per_axis_factored(w, m, f))
 
 
 def test_quadrature_rejects_more_than_4096_points():

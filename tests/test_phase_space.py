@@ -19,6 +19,7 @@ from metaplectic import (
     free_from_generating,
     gaussian,
     Grid,
+    GridMismatchError,
     heisenberg_weyl,
     hermite_function,
     maslov_branch,
@@ -39,6 +40,7 @@ from metaplectic import (
     TruncationError,
     wigner_basis,
 )
+import metaplectic.grids as grids
 import metaplectic.phase_space as phase_space
 from metaplectic.grids import _box_radius, _centered_fft, _shear, _support_box
 from metaplectic.nufft import nufft2d2
@@ -218,14 +220,131 @@ def test_phase_shift_cocycle(grid, phi0, h1):
 
 def test_wigner_covariance_under_rotation(grid, phi0):
     # W(S f) = W f o S^{-1}, checked by resampling with the trigonometric
-    # interpolant (7.1e-12 here)
+    # interpolant (2.7e-13 here)
     alpha = math.pi / 3
     f = heisenberg_weyl(phi0, np.array([2.0, 0.0]))
     sf = qfio_apply(rotation_generating(alpha), 0, f)
     lhs = cross_wigner(sf, sf)
     rhs = compose_linear(cross_wigner(f, f), rotation(alpha).inv().entries)
     err = np.max(np.abs(lhs.values - rhs.values)) / np.max(np.abs(lhs.values))
-    assert err < 1e-10
+    assert err < 1e-12
+
+
+def _displaced_gaussian_wigner(pgrid, z0, mat=np.eye(2)):
+    """W(T(z0) phi0)(mat z) = exp(-|mat z - z0|^2 / hbar) / (pi hbar) on pgrid."""
+    x, p = np.einsum("ik,k...->i...", mat, np.array(pgrid.meshgrid()))
+    return np.exp(-((x - z0[0]) ** 2 + (p - z0[1]) ** 2) / HBAR) / (math.pi * HBAR)
+
+
+def _spy_ldu_plans(monkeypatch):
+    plans = []
+    plan = grids._ldu_plan
+    monkeypatch.setattr(grids, "_ldu_plan", lambda mat: plans.append(plan(mat)) or plans[-1])
+    return plans
+
+
+def test_compose_linear_matches_closed_form_at_every_pivot(monkeypatch, phi0):
+    # the pull-back of W(T(z0) phi0) by rotations, by a symplectic matrix
+    # that pivots on entry (1, 0) (the plan works in index units: entry
+    # (i, k) times step_k / step_i), and by 20 random symplectic matrices
+    # with sigma_max <= 2 (measured 2.0e-13 to 3.2e-13 and 9.6e-14 to
+    # 4.3e-13); a dropped pivot fails this test
+    plans = _spy_ldu_plans(monkeypatch)
+    z0 = np.array([2.0, 1.0])
+    w = cross_wigner(*[heisenberg_weyl(phi0, z0)] * 2)
+    mats = [rotation(a).inv().entries for a in (0.4, 2.0, 3 * math.pi / 4)]
+    h = np.array(w.grid.steps)
+    mats.append(np.array([[0.3, 0.5], [-1.6, 2.0 / 3.0]]) * h[:, None] / h)
+    rng = np.random.default_rng(5)
+    while len(mats) < 24:
+        s = random_symplectic(1, rng).entries
+        if np.linalg.svd(s, compute_uv=False)[0] <= 2.0:
+            mats.append(s)
+    for mat in mats:
+        ref = _displaced_gaussian_wigner(w.grid, z0, mat)
+        out = compose_linear(w, mat).values
+        assert np.max(np.abs(out - ref)) / np.max(ref) < 1e-12, mat
+    assert {swaps for swaps, *_ in plans} == {
+        (False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("alpha", [math.pi / 2, 2.0, 0.4])
+def test_compose_linear_on_rectangular_phase_grid(monkeypatch, alpha):
+    # N != N_p: a swap of one side only hands the dilations a transposed
+    # shape (pi / 2 and 2 swap the input axes only, 0.4 swaps none;
+    # measured 6.3e-14 to 9.9e-14)
+    plans = _spy_ldu_plans(monkeypatch)
+    pgrid = PhaseGrid(1, 256, 12.0, 128, 8.0)
+    z0 = np.array([1.0, -0.5])
+    mat = rotation(alpha).inv().entries
+    out = compose_linear(PhaseFunction(pgrid, HBAR, _displaced_gaussian_wigner(pgrid, z0)), mat)
+    ref = _displaced_gaussian_wigner(pgrid, z0, mat)
+    assert out.values.shape == (256, 128)
+    assert np.max(np.abs(out.values - ref)) / np.max(ref) < 1e-12
+    assert plans[0][0] == (False, alpha != 0.4)
+
+
+@pytest.mark.parametrize("alpha", [math.pi / 4, 3 * math.pi / 4])
+def test_compose_linear_drops_no_sample_of_a_lattice_filling_function(alpha):
+    # a rotation-invariant Gaussian that is 3e-14 of its peak at the lattice
+    # edge: the shears take slope 1 and reach half a line beyond the lattice,
+    # where the intermediate images still hold 1e-7 (unpadded, the error was
+    # 1.1e-7; measured 1.5e-13)
+    pgrid = PhaseGrid(1, 256, 8.0, 256, 8.0)
+    x, p = pgrid.meshgrid()
+    F = PhaseFunction(pgrid, HBAR, np.exp(-(x * x + p * p) / 2.0))
+    assert np.max(np.abs(compose_linear(F, rotation(alpha).entries).values - F.values)) < 1e-12
+
+
+def _interpolant_nufft(F, mat):
+    """F's trigonometric interpolant at mat z by nufft2d2 (to its 1e-10
+    relative), 0 beyond the band: the pull-back as it was summed before
+    the shear factorization."""
+    pts = np.einsum("ik,k...->i...", mat, np.array(F.grid.meshgrid()))
+    xi = [2.0 * math.pi * (t / h) / size for t, h, size in zip(pts, F.grid.steps, F.grid.sizes)]
+    inside = np.all([(t >= -math.pi) & (t < math.pi) for t in xi], axis=0)
+    out = np.zeros(inside.shape, dtype=complex)
+    out[inside] = nufft2d2(xi[0][inside], xi[1][inside], _centered_fft(F.values) / F.values.size)
+    return out
+
+
+@pytest.mark.parametrize("width", [9.0, 12.0])
+def test_compose_linear_refines_a_band_filling_function(width):
+    # on a 64 x 64 lattice the spectrum of exp(-|z - z0|^2) fills the band
+    # (to 7e-5 of its peak at the Nyquist frequency for X = 12): the shears
+    # widen it beyond the lattice's band, which the refined rows must hold.
+    # Unrefined, the errors were 1.0e-7 and 8.7e-5.  At X = 9 the result is
+    # the closed form to 1.7e-14-6.6e-14 and the NUFFT's to 3.8e-12 (its own
+    # error); at X = 12 the samples under-resolve the function, and the
+    # error against the closed form is the NUFFT's, 5.4e-9-7.7e-9, within 0.3 %
+    pgrid = PhaseGrid(1, 64, width, 64, width)
+    x, p = pgrid.meshgrid()
+    F = PhaseFunction(pgrid, HBAR, np.exp(-((x - 0.7) ** 2 + (p + 0.4) ** 2)))
+    rng = np.random.default_rng(11)
+    mats = []
+    while len(mats) < 12:
+        s = random_symplectic(1, rng).entries
+        if np.linalg.svd(s, compute_uv=False)[0] <= 1.6:
+            mats.append(s)
+    # pivot 3 and slopes 0.2, 0.07: the last shear needs 4 rows per cell
+    mats.append(np.array([[3.0, 0.6], [0.2, 0.04 + 1.0 / 3.0]]))
+    for mat in mats:
+        xs, ps = np.einsum("ik,k...->i...", mat, np.array([x, p]))
+        exact = np.exp(-((xs - 0.7) ** 2 + (ps + 0.4) ** 2))
+        out, ref = compose_linear(F, mat).values, _interpolant_nufft(F, mat)
+        err, err_ref = (np.max(np.abs(v - exact)) / np.max(exact) for v in (out, ref))
+        assert err < max(1e-12, 1.01 * err_ref), mat
+        if width == 9.0:
+            assert np.max(np.abs(out - ref)) / np.max(exact) < 1e-10
+
+
+@pytest.mark.parametrize("mat", [[[1.0, np.nan], [0.0, 1.0]], np.zeros((2, 2)), np.eye(3)],
+                         ids=["nan", "zero", "3x3"])
+def test_compose_linear_rejects_bad_matrix(phi0, mat):
+    # a NaN entry used to return an all-zero function; the zero matrix has
+    # no pivot for the shear factorization
+    with pytest.raises(GridMismatchError):
+        compose_linear(cross_wigner(phi0, phi0), np.array(mat))
 
 
 def test_phase_shift_off_lattice_matches_closed_form(phi0):

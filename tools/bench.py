@@ -10,7 +10,7 @@ For every seed and every workload of ``BENCHMARK.json`` it runs
 once per workload traced (at the first seed).  With ``--parent`` it
 runs each command in the parent checkout too, alternating which side goes
 first, so that drift of a shared machine falls on both sides alike.  It
-also times four per-call rows, best of three calls each: the n = 2, N = 64
+also times five per-call rows, best of three calls each: the n = 2, N = 64
 quadrature oracle on perfbench's draws (``rng_for(seed, 3)``, seeds 0-7)
 against its closed-form image, the six ``bochner_apply`` calls of
 ``config_space`` (forms s1, s2, s3 on the pi/2 and 2pi/3 rotations of
@@ -19,7 +19,10 @@ the four ``cross_wigner`` Hermite pairs of ``phase_space`` (N = 512,
 X = 12) against the closed-form W(phi0, phi0) or the dense Wigner integral,
 and the seven ``metaplectic_phase_apply`` calls of a ``phase_space`` round at
 seeds 0-2 against the dense Wigner integral of S phi0, with S phi0 in closed
-form from ``reference.gaussian_word``.
+form from ``reference.gaussian_word``, and ``compose_linear`` on the Wigner
+function of T(z0) phi0 (N = 512, X = 12) and on a band-filling Gaussian
+(64 x 64, X = 9) for the rotations by 0.4, 2 and 3pi/4 against the closed
+forms.
 
 The file records the machine (``nproc``, the CPU model from
 ``/proc/cpuinfo``), the Python and NumPy versions, each checkout's git
@@ -162,6 +165,51 @@ for label, form, b, s, nu, reference in calls:
 print(json.dumps(rows))
 """
 
+# compose_linear on the Wigner function of T(z0) phi0, z0 = (2, 1), by the
+# inverse rotations by 0.4, 2 and 3pi/4, best of three each; the reference is
+# the closed form exp(-|S^{-1} z - z0|^2 / hbar) / (pi hbar).  The same
+# rotations of exp(-|z - z0|^2), z0 = (0.7, -0.4), on a 64 x 64 lattice with
+# X = P_max = 9, whose spectrum fills the band, follow.
+COMPOSE_LINEAR_SNIPPET = r"""
+import json, math, time
+import numpy as np
+import reference as ref
+import metaplectic as mp
+x, p = ref.phase_axes(512, 12.0, 1.0)
+z0 = np.array([2.0, 1.0])
+phi0 = mp.SampledFunction(mp.Grid(1, 512, 12.0), 1.0, ref.hermite(0, x, 1.0))
+f = mp.heisenberg_weyl(phi0, z0)
+w = mp.cross_wigner(f, f)
+rows = []
+for alpha in (0.4, 2.0, 3 * math.pi / 4):
+    mat = mp.rotation(alpha).inv().entries
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        out = mp.compose_linear(w, mat).values
+        times.append(time.perf_counter() - t0)
+    xs = mat[0, 0] * x[:, None] + mat[0, 1] * p[None, :] - z0[0]
+    ps = mat[1, 0] * x[:, None] + mat[1, 1] * p[None, :] - z0[1]
+    exact = np.exp(-(xs ** 2 + ps ** 2)) / math.pi
+    rows.append({"alpha": alpha, "ms": 1e3 * min(times),
+                 "closed_form_error": ref.rel_err(out, exact)})
+pg = mp.PhaseGrid(1, 64, 9.0, 64, 9.0)
+xg, pgr = pg.meshgrid()
+band_filling = mp.PhaseFunction(pg, 1.0, np.exp(-((xg - 0.7) ** 2 + (pgr + 0.4) ** 2)))
+for alpha in (0.4, 2.0, 3 * math.pi / 4):
+    mat = mp.rotation(alpha).inv().entries
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        out = mp.compose_linear(band_filling, mat).values
+        times.append(time.perf_counter() - t0)
+    xs = mat[0, 0] * xg + mat[0, 1] * pgr - 0.7
+    ps = mat[1, 0] * xg + mat[1, 1] * pgr + 0.4
+    rows.append({"alpha": alpha, "grid": "64 x 64, X = 9", "ms": 1e3 * min(times),
+                 "closed_form_error": ref.rel_err(out, np.exp(-(xs ** 2 + ps ** 2)))})
+print(json.dumps(rows))
+"""
+
 PER_CALL = (
     ("qfio_apply quadrature, n = 2, N = 64, full L", "QUADRATURE_SNIPPET", QUADRATURE_SNIPPET),
     ("bochner_apply s1, s2, s3 on rotations of phi0, N = 512", "BOCHNER_SNIPPET",
@@ -170,6 +218,8 @@ PER_CALL = (
      CROSS_WIGNER_SNIPPET),
     ("metaplectic_phase_apply calls of phase_space, seeds 0-2, N = 512",
      "PHASE_APPLY_SNIPPET", PHASE_APPLY_SNIPPET),
+    ("compose_linear, inverse rotations of W(T(z0) phi0), N = 512", "COMPOSE_LINEAR_SNIPPET",
+     COMPOSE_LINEAR_SNIPPET),
 )
 
 
