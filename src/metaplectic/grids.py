@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from . import config
-from .errors import BandwidthExceededWarning, GridMismatchError
+from .errors import BandwidthExceededWarning, GridMismatchError, TruncationError
 
 __all__ = [
     "Grid",
@@ -328,6 +328,119 @@ def _shear(values: np.ndarray, axis: int, slope: float) -> np.ndarray:
     if axis == 1:
         ramp, cells = ramp.T, cells[:, None]
     return _ramp_shift(values, axis, cells, ramp)
+
+
+def _fft_upsample(vals: np.ndarray, shape) -> np.ndarray:
+    """Trigonometric upsampling to ``shape`` (zero-padded centered spectrum):
+    sample j of axis k of the result sits at (j - shape[k] // 2) / shape[k]
+    of the period, as sample j of vals does at (j - n_k // 2) / n_k."""
+    if vals.shape == tuple(shape):
+        return vals
+    n1, n2 = vals.shape
+    big = np.zeros(shape, dtype=complex)
+    r0 = shape[0] // 2 - n1 // 2
+    c0 = shape[1] // 2 - n2 // 2
+    big[r0:r0 + n1, c0:c0 + n2] = _centered_fft(vals)
+    return _centered_fft(big, inverse=True) / (n1 * n2)
+
+
+_MAX_WORK_POINTS = 8_000_000
+
+
+def _shear_plan(g_mat: np.ndarray, n_pts, steps):
+    """(l, u, pad, i) for the sum over w of c(w) exp(i z.G w / hbar): the shear
+    w_l = w'_l + u w'_l' (l' = 1 - l) that zeroes entry (i, l') of G T, and the
+    cells ``pad`` by which it widens axis l of the n_pts lattice with
+    ``steps`` on either side.  Of the four shears (one per entry of a row,
+    and one of each row's pair has |u| <= 1), the one with the smallest
+    padded workspace; u = 0 when G already has a zero entry."""
+    zeros = np.argwhere(g_mat == 0.0)
+    if zeros.size:
+        i, lz = (int(a) for a in zeros[0])
+        return 1 - lz, 0.0, 0, i
+    best = None
+    for i in (0, 1):
+        for l in (0, 1):
+            lp = 1 - l
+            u = -g_mat[i, lp] / g_mat[i, l]
+            pad = math.ceil(abs(u) * (n_pts[lp] // 2) * steps[lp] / steps[l])
+            size = (n_pts[l] + 2 * pad) * n_pts[lp]
+            if best is None or size < best[0]:
+                best = (size, (l, u, pad, i))
+    return best[1]
+
+
+def _quadratic_phase_sum(values: np.ndarray, n_pts, steps, centre, p_mat: np.ndarray,
+                         l_mat: np.ndarray, q_mat: np.ndarray, z_idx, dz,
+                         hbar: float) -> np.ndarray:
+    """cell Sum_v f(v) exp(i W(z, v) / hbar), W(z, v) = z.P z / 2 - L z.v + v.Q v / 2,
+    between two uniform 2-D lattices: v on the n_pts lattice that refines
+    ``values`` (steps ``steps``, sample n // 2 of each axis at ``centre``)
+    by ``_fft_upsample``, cell its cell area, and z = idx dz for idx in the
+    ranges ``z_idx``.  Exact, with no nonuniform FFT: with G = -L^T, the
+    shear w = v - centre -> T w of ``_shear_plan`` zeroes an entry of G T,
+    ``_shear`` reads f at centre + T w, the chirp v.Q v / 2 is evaluated
+    there, and two chirp-z passes (``_fourier_sum_axis``) with one cross
+    phase between them sum the rest.  Past ``_MAX_WORK_POINTS`` it raises
+    TruncationError before the refined array is built."""
+    g_mat = -l_mat.T
+    steps = tuple(h * n / m for h, n, m in zip(steps, values.shape, n_pts))
+    l, u, pad, i = _shear_plan(g_mat, n_pts, steps)
+    lp, ip = 1 - l, 1 - i
+    n_sheared = _next_fast_len(n_pts[l] + 2 * pad)
+    if n_sheared * n_pts[lp] > _MAX_WORK_POINTS:
+        raise TruncationError(
+            f"workspace would need {n_sheared} x {n_pts[lp]} points; "
+            "the chirp bandwidth exceeds the refinement budget"
+        )
+    work = _fft_upsample(values, n_pts)
+    lo = (n_sheared - n_pts[l]) // 2
+    work = np.pad(work, [(lo, n_sheared - n_pts[l] - lo) if ax == l else (0, 0) for ax in (0, 1)])
+    # indices from the refined lattice's centre sample: w = idx * steps on
+    # the workspace, z = idx * dz on the output; every phase below is a
+    # bilinear table (_lattice_cis)
+    w_idx = [range(-(n // 2), n - n // 2) for n in n_pts]
+    w_idx[l] = range(w_idx[l].start - lo, w_idx[l].start - lo + n_sheared)
+
+    # the sample at offset w sits at v = centre + T w, v_l = centre_l + w_l + u w_l';
+    # with w = A idx, A = T diag(steps), the chirp v.Q v / 2 is
+    # centre.Q centre / 2 + (A^T Q centre).idx + idx.(A^T Q A) idx / 2
+    work = _shear(work, l, -u * steps[lp] / steps[l])
+    a_mat = np.diag(steps)
+    a_mat[l, lp] = u * steps[lp]
+    h_mat = a_mat.T @ q_mat @ a_mat
+    h_vec = a_mat.T @ q_mat @ centre
+    a, b = (np.arange(r.start, r.stop, dtype=float) for r in w_idx)
+    coeffs = work * _lattice_cis(
+        h_mat[0, 1] / hbar, *w_idx,
+        row=(0.5 * centre @ q_mat @ centre + h_vec[0] * a + 0.5 * h_mat[0, 0] * a * a) / hbar,
+        col=(h_vec[1] * b + 0.5 * h_mat[1, 1] * b * b) / hbar)
+    coeffs *= steps[0] * steps[1]
+
+    # z.G (centre + T w) = z.G centre + z.G' w, with G' = G T and G'[i, l'] = 0:
+    # sum over w_l' to z_i', take the cross phase z_i' G'[i', l] w_l, sum over
+    # w_l to z_i
+    g_t = g_mat.copy()
+    g_t[:, lp] += u * g_mat[:, l]
+    g_t[i, lp] = 0.0
+    core = _fourier_sum_axis(coeffs, lp, x0=w_idx[lp][0] * steps[lp], dx=steps[lp],
+                             p0=g_t[ip, lp] * z_idx[ip][0] * dz[ip], dp=g_t[ip, lp] * dz[ip],
+                             n_out=len(z_idx[ip]), hbar=hbar, sign=1)
+    cross = _lattice_cis(g_t[ip, l] * steps[l] * dz[ip] / hbar, w_idx[l], z_idx[ip])
+    core *= cross if l == 0 else cross.T
+    core = _fourier_sum_axis(core, l, x0=w_idx[l][0] * steps[l], dx=steps[l],
+                             p0=g_t[i, l] * z_idx[i][0] * dz[i], dp=g_t[i, l] * dz[i],
+                             n_out=len(z_idx[i]), hbar=hbar, sign=1)
+    if l != i:
+        core = core.T
+
+    # the output phase z.P z / 2 + z.G centre
+    gc = g_mat @ centre
+    zx, zp = (np.arange(r.start, r.stop) * h for r, h in zip(z_idx, dz))
+    return core * _lattice_cis(
+        p_mat[0, 1] * dz[0] * dz[1] / hbar, *z_idx,
+        row=(0.5 * p_mat[0, 0] * zx * zx + gc[0] * zx) / hbar,
+        col=(0.5 * p_mat[1, 1] * zp * zp + gc[1] * zp) / hbar)
 
 
 # ----------------------------------------------------------------------

@@ -11,8 +11,8 @@ J = i^{-n/2} F_hbar is the hbar-scaled Fourier transform.  Three
 independent realizations are provided:
 
 * ``qfio_apply(..., method="factored")``: the chirp/scale/Fourier word,
-  the scale and Fourier steps fused into exact chirp-z Fourier sums (for a
-  full L in n = 2, between two exact shears), with no regridding;
+  the scale and Fourier steps fused into exact chirp-z Fourier sums (in
+  n = 2 after one exact shear), with no regridding;
 * ``qfio_apply(..., method="quadrature")``: direct trapezoid summation of
   the kernel integral;
 * ``bochner_apply``: the phase-space integral over Heisenberg-Weyl
@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import config
 from .errors import BandwidthExceededWarning, FactorizationFailedError, GridMismatchError
 from .grids import (SampledFunction, _box_radius, _centered_fft, _cross_chirp,
-                    _fourier_sum_axis, _ldu_plan, _shear, _smooth_cutoff, _support_box,
+                    _fourier_sum_axis, _quadratic_phase_sum, _smooth_cutoff, _support_box,
                     _translate, _warn_at_edge, interpolate_values)
 from .indices import maslov_branch
 from .symplectic import (
@@ -145,58 +145,38 @@ def heisenberg_weyl(f: SampledFunction, z0: np.ndarray) -> SampledFunction:
 # quadratic Fourier integral operators
 
 def _qfio_factored(w: GeneratingFunction, m: int, f: SampledFunction) -> SampledFunction:
-    """chirp(P) . scale(L, m) . J . chirp(Q), with scale . J fused into
-    chirp-z Fourier sums at the targets L x (no regridding).  In n = 2,
-    L = P_out Lo D U P_in (``grids._ldu_plan``) and (J g)(Lo p) =
-    J(g o Lo^{-T})(p): g is transposed by P_out and sheared by Lo^{-T}, the
-    sums run per axis at D, the output is sheared by U and transposed by
-    P_in; a diagonal L takes neither.  A target with some (L x)_i or
-    (D U P_in x)_i beyond the period [-pi hbar / dx, pi hbar / dx) is zeroed."""
+    """chirp(P) . scale(L, m) . J . chirp(Q), with scale . J fused into exact
+    Fourier sums at the targets L x (no regridding): in n = 1 one chirp-z sum
+    of chirp(Q) f, in n = 2 the extended operator's ``grids._quadratic_phase_sum``
+    of f against exp(i W / hbar), chirps included.  A target with some
+    (L x)_i beyond the period [-pi hbar / dx, pi hbar / dx) is zeroed."""
     n, size, dx = f.grid.n, f.grid.N, f.grid.dx
-    (swap_out, swap_in), diag, b, c = _ldu_plan(w.L) if n == 2 else ((False,) * 2, w.L[0], 0, 0)
-    vals = chirp_multiply(f, w.Q).values
-    vals = vals.T if swap_out else vals
-    # (J g)(L x_t), axis by axis; axis 0 is padded by each shear's reach |slope| X
-    pad = [math.ceil(abs(s) * (size // 2)) for s in (c, b)]
-    src, tgt = ([(np.arange(-p, size + p) - size // 2) * dx, f.grid.axis()] for p in pad)
-    if c:
-        vals = _shear(np.pad(vals, [(pad[0],) * 2, (0, 0)]), 0, c)
     band = math.pi * f.hbar / dx
-    keeps = [(l * t >= -band) & (l * t < band) for l, t in zip(diag, tgt)]
-    for ax, l_ax in enumerate(diag):
-        vals = _fourier_sum_axis(
-            vals, ax,
-            x0=src[ax][0], dx=dx,
-            p0=l_ax * tgt[ax][0], dp=l_ax * dx,
-            n_out=tgt[ax].size, hbar=f.hbar, sign=-1,
-        )
-        vals = vals * keeps[ax].reshape((-1,) + (1,) * (n - 1 - ax))
-    if b:
-        vals = _shear(vals, 0, -b)[pad[1]:pad[1] + size]
-    vals = vals.T if swap_in else vals
-    inside = None  # for a diagonal L the kept targets are the box of keeps
-    if b or c or swap_in or swap_out:
-        mid = [(diag[0], diag[0] * b), (0.0, diag[1])]
-        mesh = np.ix_(*f.grid.axes())
-        inside = np.ones(vals.shape, dtype=bool)
-        for row in {*map(tuple, w.L), *(r[::-1] if swap_in else r for r in mid)}:
-            lx = sum(l_ik * x_k for l_ik, x_k in zip(row, mesh))
-            inside &= (lx >= -band) & (lx < band)
-        vals[~inside] = 0.0
+    inside = np.ones(f.grid.shape(), dtype=bool)
+    mesh = np.ix_(*f.grid.axes())
+    for row in w.L:
+        lx = sum(l_ik * x_k for l_ik, x_k in zip(row, mesh))
+        inside &= (lx >= -band) & (lx < band)
     pref = (
         f.grid.cell_volume()
         * (2.0 * math.pi * f.hbar) ** (-n / 2.0)
         * np.exp(-1j * math.pi * n / 4.0)
         * (1j ** m) * math.sqrt(abs(np.linalg.det(w.L)))
     )
-    out = chirp_multiply(f.with_values(pref * vals), w.P)
-    if inside is None:
-        in_band, edge = all(k.all() for k in keeps), out.values[np.ix_(*keeps)]
+    if n == 1:
+        x = f.grid.axis()
+        vals = _fourier_sum_axis(chirp_multiply(f, w.Q).values, 0, x0=x[0], dx=dx,
+                                 p0=w.L[0, 0] * x[0], dp=w.L[0, 0] * dx,
+                                 n_out=size, hbar=f.hbar, sign=-1)
+        out = chirp_multiply(f.with_values(pref * (vals * inside)), w.P)
     else:
-        in_band, edge = inside.all(), out.values
-    limit = ("grid edge; increase X" if in_band
+        idx = range(-(size // 2), size - size // 2)
+        vals = _quadratic_phase_sum(f.values, f.grid.shape(), (dx, dx), np.zeros(2),
+                                    w.P, w.L, w.Q, (idx, idx), (dx, dx), f.hbar)
+        out = f.with_values(pref / f.grid.cell_volume() * vals * inside)
+    limit = ("grid edge; increase X" if inside.all()
              else "alias limit |L x| = pi hbar / dx; increase N or decrease X")
-    _warn_at_edge(edge, f"operator output reaches the {limit}", inside=inside)
+    _warn_at_edge(out.values, f"operator output reaches the {limit}", inside=inside)
     return out
 
 
@@ -261,7 +241,10 @@ def qfio_apply(w: GeneratingFunction, m: int, f: SampledFunction,
 
     method="factored" uses the exact chirp/scale/Fourier factorization;
     method="quadrature" sums the kernel integral directly.  Both return
-    samples on f's own grid.
+    samples on f's own grid.  The n = 2 factored route shares the extended
+    operator's cap on its sheared workspace (TruncationError past
+    ``grids._MAX_WORK_POINTS`` = 8e6 points): (N + 2 |u| N/2) N, |u| <= 1,
+    stays below it up to N = 1024.
     """
     if w.n != f.grid.n:
         raise GridMismatchError(f"W has n={w.n} but f has n={f.grid.n}")

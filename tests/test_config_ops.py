@@ -42,7 +42,7 @@ from metaplectic import (
     support_radius,
 )
 from metaplectic import config
-import metaplectic.operators as operators
+import metaplectic.grids as grids
 from metaplectic.grids import (_cross_chirp, _fourier_sum_axis, _integer_shift, _next_fast_len,
                               _smooth_cutoff)
 from metaplectic.symplectic import _integral_form
@@ -626,9 +626,9 @@ def _in_band(l, grid, hbar):
 
 
 def test_factored_n2_full_l_matches_closed_form():
-    # the shear, per-axis chirp-z and shear route for a full L, on the five
-    # draws and on each with its first row negated (det L < 0, odd branch),
-    # measured 4.0e-14 to 6.9e-14; the band holds the whole of
+    # the one-shear sum for a full L, on the five draws and on each with its
+    # first row negated (det L < 0, odd branch), measured 2.8e-14 to
+    # 4.2e-14; the band holds the whole of
     # Grid(2, 128, 12) at hbar = 1, so nothing may warn
     grid = Grid(n=2, N=128, X=12.0)
     for f, p0, w, m in _full_l_draws(1.0, grid):
@@ -641,11 +641,11 @@ def test_factored_n2_full_l_matches_closed_form():
 
 
 def test_factored_n2_every_pivot_matches_closed_form(monkeypatch):
-    # one L per pivot placement, and one whose pivot swaps the input axes
-    # with no input shear (c = 0)
+    # one L per shear the sum can take, (sheared axis l, zeroed row i of
+    # G = -L^T), and one with a zero entry, which takes no shear (u = 0)
     plans = []
-    plan = operators._ldu_plan
-    monkeypatch.setattr(operators, "_ldu_plan", lambda mat: plans.append(plan(mat)) or plans[-1])
+    plan = grids._shear_plan
+    monkeypatch.setattr(grids, "_shear_plan", lambda *a: plans.append(plan(*a)) or plans[-1])
     grid = Grid(n=2, N=128, X=12.0)
     p0 = np.array([0.6, -0.4])
     f = heisenberg_weyl(gaussian(grid, HBAR), np.concatenate([np.zeros(2), p0]))
@@ -658,9 +658,8 @@ def test_factored_n2_every_pivot_matches_closed_form(monkeypatch):
             out = qfio_apply(w, m, f).values
         ref = _gaussian_image_nd(w, m, p0, grid.meshgrid(), HBAR)
         assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref)), l
-    assert [swaps for swaps, *_ in plans] == [
-        (False, False), (False, True), (True, False), (True, True), (True, False)]
-    assert plans[-1][3] == 0.0
+    assert [(l, i, u == 0) for l, u, _, i in plans] == [
+        (0, 0, False), (0, 1, False), (1, 0, False), (1, 1, False), (1, 0, True)]
 
 
 def test_factored_n2_full_l_matches_quadrature_in_band():
@@ -687,9 +686,9 @@ def test_factored_n2_full_l_warns_and_never_wraps():
 
 
 def test_factored_n2_shears_drop_no_sample():
-    # L = [[1, 1], [-1, 1]] takes both shears at slope 1: the sheared input
-    # and the output's reads reach |slope| X beyond the grid, where the
-    # Gaussian is still 1e-7; unpadded, the error was 1.6e-8 (measured 2.7e-15)
+    # L = [[1, 1], [-1, 1]] takes a shear with |u| = 1: the sheared reads
+    # reach |u| X beyond the grid, where the Gaussian is still 1e-7, so the
+    # workspace is padded by that reach (measured 2.8e-15)
     grid = Grid(n=2, N=128, X=8.0)
     w = GeneratingFunction(np.zeros((2, 2)), np.array([[1.0, 1.0], [-1.0, 1.0]]),
                            np.zeros((2, 2)))
@@ -699,23 +698,25 @@ def test_factored_n2_shears_drop_no_sample():
     assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
-def test_factored_n2_warns_at_the_intermediate_band():
-    # L = [[1, 0], [1, 1]] takes the lower shear c = 1, and the chirp-z sums
-    # run at D U x = x: their band |x_1| < pi hbar / dx cuts through targets
-    # whose L x is in band, where the Gaussian's image reaches 6.7e-10 of its
-    # peak.  Those targets are zeroed, with a warning, and the rest match the
-    # closed form (1.7e-15)
+def test_factored_n2_lower_shear_is_exact_in_band():
+    # L = [[1, 0], [1, 1]] at hbar = 0.5: every target whose L x is in band
+    # meets the closed form, also those with |x_1| beyond the band, where the
+    # Gaussian's image reaches 6.7e-10 of its peak (measured 4.3e-16); a
+    # route that runs its Fourier sums at an intermediate point such as
+    # D U x = x zeroes them there.  The output is silent: the image outside
+    # the band is below 1e-18 of the peak
     grid, hbar = Grid(n=2, N=64, X=8.0), 0.5
     w = GeneratingFunction(np.zeros((2, 2)), np.array([[1.0, 0.0], [1.0, 1.0]]),
                            np.zeros((2, 2)))
-    with pytest.warns(BandwidthExceededWarning, match="increase N or decrease X"):
+    with _no_warnings():
         out = qfio_apply(w, 0, gaussian(grid, hbar)).values
     ref = _gaussian_image_nd(w, 0, np.zeros(2), grid.meshgrid(), hbar)
     x1, band = grid.meshgrid()[1], math.pi * hbar / grid.dx
-    kept = _in_band(w.L, grid, hbar) & (x1 >= -band) & (x1 < band)
-    assert np.max(np.abs(ref[~kept])) > 1e-10 * np.max(np.abs(ref))
-    assert np.all(out[~kept] == 0.0)
-    assert np.max(np.abs(out - ref)[kept]) < 1e-12 * np.max(np.abs(ref))
+    inside = _in_band(w.L, grid, hbar)
+    beyond = inside & ((x1 < -band) | (x1 >= band))
+    assert np.max(np.abs(ref[beyond])) > 1e-10 * np.max(np.abs(ref))
+    assert np.all(out[~inside] == 0.0)
+    assert np.max(np.abs(out - ref)[inside]) < 1e-12 * np.max(np.abs(ref))
 
 
 def _gaussian_word_nd(factors, mesh, hbar):
@@ -737,7 +738,7 @@ def _gaussian_word_nd(factors, mesh, hbar):
 def test_factor_pair_words_n2_match_closed_form():
     # factor_pair's left factor has a full L; the diagonal-only factored
     # route raised GridMismatchError on every one of these words (measured
-    # 6.7e-14 to 1.0e-13)
+    # 4.4e-14 to 8.5e-14)
     grid = Grid(n=2, N=256, X=12.0)
     phi0 = gaussian(grid, HBAR)
     rng = np.random.default_rng(3)
@@ -755,8 +756,8 @@ def test_factor_pair_words_n2_match_closed_form():
 
 
 def _per_axis_factored(w, m, f):
-    """The diagonal-L factored route as it was before the shear factorization:
-    chirp Q, one chirp-z sum per axis at diag(L) with its band mask, chirp P."""
+    """The per-axis factored route for a diagonal L: chirp Q, one chirp-z sum
+    per axis at diag(L) with its band mask, chirp P."""
     n = f.grid.n
     vals = chirp_multiply(f, w.Q).values
     x = f.grid.axis()
@@ -773,9 +774,10 @@ def _per_axis_factored(w, m, f):
 
 @pytest.mark.parametrize("hbar", [1.0, 0.1])
 def test_factored_diagonal_l_is_bit_identical_to_per_axis_route(hbar):
-    # a diagonal L takes no shear and no swap: the outputs are the per-axis
-    # route's, bit for bit, in n = 1 and n = 2 (at hbar = 0.1 the band
-    # masks zero targets too)
+    # in n = 1 the output is the per-axis route's, bit for bit; in n = 2 a
+    # diagonal L takes the shear-free plan of the shared 2-D sum, which
+    # applies the chirps itself, and meets the per-axis route to 1e-14
+    # (measured 9.6e-16); at hbar = 0.1 both zero the targets beyond the band
     rng = np.random.default_rng(7)
     for n, size in ((1, 512), (2, 256)):
         grid = Grid(n=n, N=size, X=12.0)
@@ -788,7 +790,13 @@ def test_factored_diagonal_l_is_bit_identical_to_per_axis_route(hbar):
             for f in fs:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", BandwidthExceededWarning)
-                    assert np.array_equal(qfio_apply(w, m, f).values, _per_axis_factored(w, m, f))
+                    out, ref = qfio_apply(w, m, f).values, _per_axis_factored(w, m, f)
+                if n == 1:
+                    assert np.array_equal(out, ref)
+                else:
+                    inside = _in_band(l, grid, hbar)
+                    assert np.all(out[~inside] == 0.0) and np.all(ref[~inside] == 0.0)
+                    assert np.max(np.abs(out - ref)) < 1e-14 * np.max(np.abs(ref))
 
 
 def test_quadrature_rejects_more_than_4096_points():

@@ -10,7 +10,7 @@ For every seed and every workload of ``BENCHMARK.json`` it runs
 once per workload traced (at the first seed).  With ``--parent`` it
 runs each command in the parent checkout too, alternating which side goes
 first, so that drift of a shared machine falls on both sides alike.  It
-also times five per-call rows, best of three calls each: the n = 2, N = 64
+also times six per-call rows, best of three calls each: the n = 2, N = 64
 quadrature oracle on perfbench's draws (``rng_for(seed, 3)``, seeds 0-7)
 against its closed-form image, the six ``bochner_apply`` calls of
 ``config_space`` (forms s1, s2, s3 on the pi/2 and 2pi/3 rotations of
@@ -22,7 +22,9 @@ seeds 0-2 against the dense Wigner integral of S phi0, with S phi0 in closed
 form from ``reference.gaussian_word``, and ``compose_linear`` on the Wigner
 function of T(z0) phi0 (N = 512, X = 12) and on a band-filling Gaussian
 (64 x 64, X = 9) for the rotations by 0.4, 2 and 3pi/4 against the closed
-forms.
+forms, and the factored n = 2 ``qfio_apply`` (N = 256, X = 12) on the
+standard Gaussian for the left factors of 8 ``factor_pair`` words (full L)
+and perfbench's diagonal-L draws (seeds 0-3) against the closed form.
 
 The file records the machine (``nproc``, the CPU model from
 ``/proc/cpuinfo``), the Python and NumPy versions, each checkout's git
@@ -210,6 +212,49 @@ for alpha in (0.4, 2.0, 3 * math.pi / 4):
 print(json.dumps(rows))
 """
 
+# The factored n = 2 route, best of three each, on the standard Gaussian of
+# Grid(2, 256, 12): the left factors (full L) of 8 factor_pair words of
+# random S with sigma_max <= 2 (default_rng(3)), and perfbench's diagonal-L
+# draws at seeds 0-3 (rng_for(seed, 2)); the reference is the closed-form
+# image from reference.gaussian_through.
+FACTORED_N2_SNIPPET = r"""
+import json, time
+import numpy as np
+import inputs, reference as ref
+import metaplectic as mp
+grid = mp.Grid(2, 256, 12.0)
+x = ref.axis(256, 12.0)
+mesh = list(np.meshgrid(x, x, indexing="ij"))
+alpha0, c0 = ref.standard_gaussian(2, 1.0)
+f = mp.SampledFunction(grid, 1.0, ref.gaussian_values(alpha0, c0, mesh, 1.0))
+draws = []
+rng = np.random.default_rng(3)
+while len(draws) < 8:
+    s = mp.random_symplectic(2, rng)
+    if np.linalg.svd(s.entries, compute_uv=False)[0] <= 2.0:
+        (w, m), _ = mp.factor_pair(s)
+        draws.append((f"factor_pair word {len(draws)}", "full", w, m))
+for seed in range(4):
+    rng = inputs.rng_for(seed, 2)
+    for i in range(2):
+        P, L, Q = inputs.free_generating(2, rng, pq_scale=1.0, l_pert=0.3,
+                                         diagonal_l=True, max_singular=1.4)
+        draws.append((f"seed {seed} draw {i}", "diagonal", mp.GeneratingFunction(P, L, Q),
+                      inputs.branch(L)))
+rows = []
+for label, kind, w, m in draws:
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        out = mp.qfio_apply(w, m, f).values
+        times.append(time.perf_counter() - t0)
+    exact = ref.gaussian_values(*ref.gaussian_through(w.P, w.L, w.Q, m, alpha0, c0, 1.0),
+                                mesh, 1.0)
+    rows.append({"input": label, "L": kind, "ms": 1e3 * min(times),
+                 "closed_form_error": ref.rel_err(out, exact)})
+print(json.dumps(rows))
+"""
+
 PER_CALL = (
     ("qfio_apply quadrature, n = 2, N = 64, full L", "QUADRATURE_SNIPPET", QUADRATURE_SNIPPET),
     ("bochner_apply s1, s2, s3 on rotations of phi0, N = 512", "BOCHNER_SNIPPET",
@@ -220,6 +265,8 @@ PER_CALL = (
      "PHASE_APPLY_SNIPPET", PHASE_APPLY_SNIPPET),
     ("compose_linear, inverse rotations of W(T(z0) phi0), N = 512", "COMPOSE_LINEAR_SNIPPET",
      COMPOSE_LINEAR_SNIPPET),
+    ("qfio_apply factored, n = 2, N = 256, full and diagonal L", "FACTORED_N2_SNIPPET",
+     FACTORED_N2_SNIPPET),
 )
 
 
