@@ -665,7 +665,7 @@ def test_factored_n2_every_pivot_matches_closed_form(monkeypatch):
 def test_factored_n2_full_l_matches_quadrature_in_band():
     # on Grid(2, 64, 10) at hbar = 1 the band holds 69-100 % of the grid:
     # there the two routes sum the same integrand; beyond it the quadrature
-    # wraps and the factored route zeroes (measured 1.7e-14 to 4.1e-14)
+    # wraps and the factored route zeroes (measured 1.9e-14 to 2.9e-14)
     grid = Grid(n=2, N=64, X=10.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BandwidthExceededWarning)
