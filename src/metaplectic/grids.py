@@ -381,7 +381,8 @@ def _quadratic_phase_sum(values: np.ndarray, n_pts, steps, centre, p_mat: np.nda
     shear w = v - centre -> T w of ``_shear_plan`` zeroes an entry of G T,
     ``_shear`` reads f at centre + T w, the chirp v.Q v / 2 is evaluated
     there, and two chirp-z passes (``_fourier_sum_axis``) with one cross
-    phase between them sum the rest.  Past ``_MAX_WORK_POINTS`` it raises
+    phase between them sum the rest; u = 0 takes no shear, and a zero
+    coupling no cross phase.  Past ``_MAX_WORK_POINTS`` it raises
     TruncationError before the refined array is built."""
     g_mat = -l_mat.T
     steps = tuple(h * n / m for h, n, m in zip(steps, values.shape, n_pts))
@@ -405,7 +406,8 @@ def _quadratic_phase_sum(values: np.ndarray, n_pts, steps, centre, p_mat: np.nda
     # the sample at offset w sits at v = centre + T w, v_l = centre_l + w_l + u w_l';
     # with w = A idx, A = T diag(steps), the chirp v.Q v / 2 is
     # centre.Q centre / 2 + (A^T Q centre).idx + idx.(A^T Q A) idx / 2
-    work = _shear(work, l, -u * steps[lp] / steps[l])
+    if u:
+        work = _shear(work, l, -u * steps[lp] / steps[l])
     a_mat = np.diag(steps)
     a_mat[l, lp] = u * steps[lp]
     h_mat = a_mat.T @ q_mat @ a_mat
@@ -426,8 +428,9 @@ def _quadratic_phase_sum(values: np.ndarray, n_pts, steps, centre, p_mat: np.nda
     core = _fourier_sum_axis(coeffs, lp, x0=w_idx[lp][0] * steps[lp], dx=steps[lp],
                              p0=g_t[ip, lp] * z_idx[ip][0] * dz[ip], dp=g_t[ip, lp] * dz[ip],
                              n_out=len(z_idx[ip]), hbar=hbar, sign=1)
-    cross = _lattice_cis(g_t[ip, l] * steps[l] * dz[ip] / hbar, w_idx[l], z_idx[ip])
-    core *= cross if l == 0 else cross.T
+    if g_t[ip, l]:
+        cross = _lattice_cis(g_t[ip, l] * steps[l] * dz[ip] / hbar, w_idx[l], z_idx[ip])
+        core *= cross if l == 0 else cross.T
     core = _fourier_sum_axis(core, l, x0=w_idx[l][0] * steps[l], dx=steps[l],
                              p0=g_t[i, l] * z_idx[i][0] * dz[i], dp=g_t[i, l] * dz[i],
                              n_out=len(z_idx[i]), hbar=hbar, sign=1)

@@ -172,15 +172,17 @@ def phase_shift(F: PhaseFunction, z0: np.ndarray) -> PhaseFunction:
     Ttilde(z0) F(z) = exp(-i sigma(z, z0) / hbar) F(z - z0/2).
 
     When the half-shift lands on the lattice the translation is an exact
-    index move; otherwise it reads the trigonometric interpolant of F.
+    index move; otherwise it reads the trigonometric interpolant of F.  The
+    phase is separable, exp(i x p0 / hbar) exp(-i p x0 / hbar): one outer
+    product of an x-vector and a p-vector.
     """
     z0 = np.asarray(z0, dtype=float).reshape(-1)
     if z0.size != 2:
         raise GridMismatchError("z0 must have length 2")
     x0, p0 = float(z0[0]), float(z0[1])
     shifted = _translate(F.values, F.grid, z0 / 2)
-    xx, pp = F.grid.meshgrid()
-    mult = np.exp(-1j * (pp * x0 - xx * p0) / F.hbar)
+    xg, pg = F.grid.axes()
+    mult = np.multiply.outer(np.exp(1j * xg * p0 / F.hbar), np.exp(-1j * pg * x0 / F.hbar))
     return F.with_values(mult * shifted)
 
 
@@ -306,22 +308,36 @@ def bopp_apply(a_sigma, F: PhaseFunction) -> PhaseFunction:
     20 percent (``config.CUTOFF_FRACTION``).  The symbol must have decayed
     at the truncation ring, else the quadrature is meaningless.
 
-    The sum over shifts (a, b) is a twisted convolution.  Its row-dependent
-    factor e^{i theta_j b}, theta_j = 2 x_j dp / hbar, splits as
-    e^{i theta_j (k - c)} e^{-i theta_j (k - b - c)} with c = N_p // 2, i.e.
-    a modulation mod = e^{-2 i x p / hbar} of the row-shifted F before the
-    p-sum and its conjugate after it.  For each x-shift a the p-sum is then
-    one row-independent linear convolution, done by a zero-padded FFT of
-    length L = next_fast_len(N_p + min(kp, N_p - 1)): O(Kx N L log L) work
-    for Kx x-shifts instead of O(Kx Kp N N_p).
+    The quadrature is the finite sum over shifts (a, b) of
+    w(a, b) e^{-i p x0_a / hbar} e^{i x p0_b / hbar} F(x - a dx, p - b dp),
+    zero-filled where a shift leaves the grid.  The route follows from the
+    grid.  When N_p dx dp = pi hbar (every grid ``cross_wigner`` makes; checked
+    to 1e-12 relative) both modulations are whole-bin rolls of the spectrum
+    of F zero-padded to 2 N_p along p, and the sum is one banded matrix
+    product per class of lines of that spectrum (``_bopp_padded_spectrum``).
+    On any other grid it is one zero-padded FFT convolution along p per
+    x-shift (``_bopp_shift_loop``).  Both are the same sum, to rounding.
     """
+    weights = _bopp_weights(a_sigma, F)
+    if weights is None:
+        return F.with_values(np.zeros_like(F.values))
     grid = F.grid
-    hbar = F.hbar
+    rolls = abs(grid.N_p * grid.dx * grid.dp - math.pi * F.hbar) <= 1e-12 * math.pi * F.hbar
+    route = _bopp_padded_spectrum if rolls else _bopp_shift_loop
+    return F.with_values(route(weights, F))
+
+
+def _bopp_weights(a_sigma, F: PhaseFunction):
+    """The quadrature weights w(a, b) of ``bopp_apply`` on the shifts
+    (x0, p0) = (2 a dx, 2 b dp), |a| <= kx, |b| <= kp, as a (2 kx + 1) x
+    (2 kp + 1) array: the symbol times the cutoff times the cell over
+    2 pi hbar, zero below 1e-14 of the symbol's peak.  None when F vanishes;
+    TruncationError when the symbol has not decayed at the truncation ring."""
+    grid = F.grid
     box = _support_box(F.values, pad=2)
     if box is None:
-        return F.with_values(np.zeros_like(F.values))
-    xg, pg = grid.axes()
-    r_supp = _box_radius(box, (xg, pg))
+        return None
+    r_supp = _box_radius(box, grid.axes())
     radius = config.R_FACTOR * max(r_supp, grid.dx)
 
     step_x = 2.0 * grid.dx
@@ -344,21 +360,41 @@ def bopp_apply(a_sigma, F: PhaseFunction) -> PhaseFunction:
         )
 
     chi = _smooth_cutoff(rr, config.CUTOFF_FRACTION)
-    weights = a_vals * chi * (step_x * step_p) / (2.0 * math.pi * hbar)
+    weights = a_vals * chi * (step_x * step_p) / (2.0 * math.pi * F.hbar)
     keep = np.abs(weights) > 1e-14 * max(peak, 1e-300)
-    weights = np.where(keep, weights, 0.0)
+    return np.where(keep, weights, 0.0)
 
-    n_x, n_p = grid.shape()
-    # p-shifts of N_p or more move F off the grid; the rest form the kernel
+
+def _p_kernel(weights: np.ndarray, n_p: int, length: int) -> np.ndarray:
+    """The weights' p-shifts b placed at b mod ``length``; shifts of N_p or
+    more move F off the grid and are dropped."""
+    kp = weights.shape[1] // 2
     kp_in = min(kp, n_p - 1)
-    length = _next_fast_len(n_p + kp_in)
-    kernel = np.zeros((2 * kx + 1, length), dtype=complex)
+    kernel = np.zeros((weights.shape[0], length), dtype=complex)
     kernel[:, np.arange(-kp_in, kp_in + 1) % length] = weights[:, kp - kp_in:kp + kp_in + 1]
-    kernel_hat = np.fft.fft(kernel, axis=1)
+    return kernel
+
+
+def _bopp_shift_loop(weights: np.ndarray, F: PhaseFunction) -> np.ndarray:
+    """The Bopp sum on any grid, one x-shift a at a time.  Its row-dependent
+    factor e^{i theta_j b}, theta_j = 2 x_j dp / hbar, splits as
+    e^{i theta_j (k - c)} e^{-i theta_j (k - b - c)} with c = N_p // 2, i.e.
+    a modulation mod = e^{-2 i x p / hbar} of the row-shifted F before the
+    p-sum and its conjugate after it.  For each x-shift the p-sum is then
+    one row-independent linear convolution, done by a zero-padded FFT of
+    length L = next_fast_len(N_p + min(kp, N_p - 1)): O(Kx N L log L) work
+    for Kx x-shifts instead of O(Kx Kp N N_p)."""
+    grid, hbar = F.grid, F.hbar
+    xg, pg = grid.axes()
+    n_x, n_p = grid.shape()
+    kx, kp = weights.shape[0] // 2, weights.shape[1] // 2
+    x0 = np.arange(-kx, kx + 1) * (2.0 * grid.dx)
+    length = _next_fast_len(n_p + min(kp, n_p - 1))
+    kernel_hat = np.fft.fft(_p_kernel(weights, n_p, length), axis=1)
 
     mod = np.exp((-2j / hbar) * np.multiply.outer(xg, pg))
     acc = np.zeros(grid.shape(), dtype=complex)
-    for ix in np.nonzero(keep.any(axis=1))[0]:
+    for ix in np.flatnonzero(weights.any(axis=1)):
         a = ix - kx
         lo, hi = max(0, a), min(n_x, n_x + a)
         if lo >= hi:
@@ -366,4 +402,81 @@ def bopp_apply(a_sigma, F: PhaseFunction) -> PhaseFunction:
         g = mod[lo:hi] * F.values[lo - a:hi - a]
         conv = np.fft.ifft(np.fft.fft(g, n=length, axis=1) * kernel_hat[ix], axis=1)[:, :n_p]
         acc[lo:hi] += np.exp(-1j * pg * x0[ix] / hbar) * conv
-    return F.with_values(np.conj(mod) * acc)
+    return np.conj(mod) * acc
+
+
+# rows of one matrix block of _bopp_padded_spectrum
+_BOPP_BLOCK = 64
+
+
+def _bopp_padded_spectrum(weights: np.ndarray, F: PhaseFunction) -> np.ndarray:
+    """The Bopp sum on a grid with N_p dx dp = pi hbar, with no FFT per shift.
+
+    With L = 2 N_p, Fh = DFT_L of F zero-padded along p and
+    G(c, a) = Sum_b w(a, b) e^{2 pi i b c / L}, the modulation e^{i x_j p0_b / hbar}
+    is a roll of the p-convolution's spectrum by 2 (j - N // 2) bins and
+    e^{-i p x0_a / hbar} one by 2 a bins, so
+        out_hat(j, m) = Sum_a ph(a) G(2 (j - N // 2) - m - 2 a, a) Fh(j - a, m + 2 a)
+    (indices of G and Fh mod L, Fh zero for rows off the grid), with
+    ph(a) = e^{2 pi i 2 a (N_p // 2) / L}, and the output is the first N_p
+    samples of IDFT_L(out_hat).  The padding keeps the p-shifts zero-filled,
+    as the shift loop's linear convolution does.
+
+    The shift (j, m) -> (j - a, m + 2 a) keeps the line u = (2 j + m) mod L.
+    Writing u = r + 4 q mod L (r < g = gcd(4, L), q < L / g) and s = j - q,
+    out_hat(s + q, u - 2 (s + q)) = Sum_s' M_r[s, s'] B_r[s', q], where
+    B_r[s', q] = Fh(s' + q, (r + 2 q - 2 s') mod L) and
+    M_r[s, s'] = ph(a) G(2 (s + s') - 2 (N // 2) - r, a), a = s - s':
+    one banded matrix for all lines of the class r, applied in row blocks.
+    """
+    n_x, n_p = F.grid.shape()
+    length = 2 * n_p
+    kx = weights.shape[0] // 2
+    rows = np.flatnonzero(weights.any(axis=1))
+    if rows.size == 0:
+        return np.zeros((n_x, n_p), dtype=complex)
+    # shifts a_lo..a_hi, widened to hold a = 0 so the band pads are >= 0
+    a_lo, a_hi = min(rows[0] - kx, 0), max(rows[-1] - kx, 0)
+    band = a_hi - a_lo + 1
+    shifts = np.arange(a_lo, a_hi + 1)
+    turns = (2 * shifts * (n_p // 2)) % length
+    g_tab = np.fft.ifft(_p_kernel(weights[shifts + kx], n_p, length), axis=1)
+    g_tab *= (length * np.exp(2j * math.pi * turns / length))[:, None]
+
+    n_cls = math.gcd(4, length)
+    n_q = length // n_cls
+    n_s = n_x + n_q - 1                     # s = i - (n_q - 1), i < n_s
+    s = np.arange(n_s) - (n_q - 1)
+    q = np.arange(n_q)
+    j = s[:, None] + q[None, :]
+    sentinel = n_x * length                 # a zero appended to the flat spectrum
+    row_at = np.where((j >= 0) & (j < n_x), j * length, -1)
+    dm = 2 * q[None, :] - 2 * s[:, None]
+    spec = np.zeros(sentinel + 1, dtype=complex)
+    spec[:-1].reshape(n_x, length)[...] = np.fft.fft(F.values, n=length, axis=1)
+    out = np.empty_like(spec)
+
+    # the band of M_r as rows t = a_hi - a of a padded table, read as a dense
+    # block by a window with row stride width - 1; the block's input rows are
+    # B_r's rows offset by a_hi
+    blk = _BOPP_BLOCK
+    width = band + blk
+    a_col = a_hi - np.arange(band)
+    g_at = 4 * s[:, None] - 2 * a_col[None, :] - 2 * (n_x // 2)
+    g_row = (a_col - a_lo) * length
+    table = np.zeros((n_s, width), dtype=complex)
+    b_ext = np.zeros((n_s + band - 1, n_q), dtype=complex)
+    for r in range(n_cls):
+        table[:, :band] = g_tab.ravel()[g_row + (g_at - r) % length]
+        windows = sliding_window_view(table.ravel(), blk + band - 1)
+        idx = np.where(row_at >= 0, row_at + (dm + r) % length, sentinel)
+        b_ext[a_hi:a_hi + n_s] = spec[idx]
+        prod = np.zeros((n_s, n_q), dtype=complex)
+        for i0 in range(0, n_s, blk):
+            i1 = min(i0 + blk, n_s)
+            # lines q whose rows s + q, s in the block, meet the grid
+            q0, q1 = max(0, n_q - i1), min(n_q, n_x + n_q - 1 - i0)
+            m_blk = windows[i0 * width::width - 1][:i1 - i0, :i1 - i0 + band - 1]
+            prod[i0:i1, q0:q1] = m_blk @ b_ext[i0:i1 + band - 1, q0:q1]
+        out[idx] = prod
+    return np.fft.ifft(out[:-1].reshape(n_x, length), axis=1)[:, :n_p]

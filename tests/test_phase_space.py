@@ -42,6 +42,7 @@ from metaplectic import (
     wigner_basis,
 )
 import metaplectic.grids as grids
+import metaplectic.phase_space as phase_space
 from metaplectic.grids import _box_radius, _centered_fft, _shear, _support_box
 from metaplectic.nufft import nufft2d2
 from metaplectic.symplectic import _integral_form, standard_j
@@ -713,6 +714,95 @@ def test_bopp_rejects_symbol_not_decayed_at_truncation_ring():
     wide = lambda zx, zp: np.exp(-(zx * zx + zp * zp) / (2 * 10.0 ** 2))
     with pytest.raises(TruncationError):
         bopp_apply(wide, F)
+
+
+def _perfbench_symbols(hbar):
+    """The three twisted symbols of the phase_space benchmark: the Gaussian
+    Weyl symbol with tau = 0.8 centred at zc, and the delta symbols of width
+    sigma = 1 and 0.7."""
+    tau, zc = 0.8, np.array([0.5, -0.3])
+
+    def gaussian_symbol(zx, zp):
+        return ((tau ** 2 / hbar) * np.exp(-1j * (zp * zc[0] - zx * zc[1]) / hbar)
+                * np.exp(-tau ** 2 * (zx * zx + zp * zp) / (2 * hbar ** 2)))
+
+    def delta_symbol(sigma):
+        return lambda zx, zp: (np.exp(-(zx * zx + zp * zp) / (2 * sigma ** 2 * hbar ** 2))
+                               / (sigma ** 2 * hbar))
+    return [gaussian_symbol, delta_symbol(1.0), delta_symbol(0.7)]
+
+
+@pytest.mark.filterwarnings("ignore::metaplectic.BandwidthExceededWarning")
+@pytest.mark.parametrize("n_pts", [64, 128])
+def test_bopp_padded_spectrum_matches_shift_loop_on_wigner_input(n_pts):
+    # on a cross_wigner grid (N_p dx dp = pi hbar) bopp_apply takes the
+    # padded-spectrum route, which reorders the shift loop's finite sum
+    # (measured 2.9e-16 to 6.3e-16)
+    grid = Grid(n=1, N=n_pts, X=12.0)
+    F = cross_wigner(gaussian(grid, HBAR), hermite_function(1, grid, HBAR))
+    assert F.grid.N_p * F.grid.dx * F.grid.dp == pytest.approx(math.pi * HBAR, rel=1e-12)
+    for a_sigma in _perfbench_symbols(HBAR):
+        weights = phase_space._bopp_weights(a_sigma, F)
+        loop = phase_space._bopp_shift_loop(weights, F)
+        out = bopp_apply(a_sigma, F).values
+        assert np.array_equal(out, phase_space._bopp_padded_spectrum(weights, F))
+        assert np.max(np.abs(out - loop)) <= 1e-13 * np.max(np.abs(loop))
+
+
+@pytest.mark.parametrize("n_pts, n_p, X", [
+    (40, 27, 5.0),   # odd N_p: the lines of the padded spectrum form two classes
+    (24, 50, 3.0),   # N_p > N
+    (64, 20, 2.0),   # N > N_p, x-shifts beyond the grid
+])
+def test_bopp_padded_spectrum_matches_direct_sum_on_rectangular_grid(n_pts, n_p, X):
+    # any grid with N_p dx dp = pi hbar rolls exactly, whatever N_p; F fills
+    # the grid, so every shift drops or zero-fills samples at the edges
+    hbar = 0.8
+    pgrid = PhaseGrid(1, n_pts, X, n_p, math.pi * hbar * n_pts / (4 * X))
+    rng = np.random.default_rng(n_p)
+    F = PhaseFunction(pgrid, hbar, rng.normal(size=pgrid.shape()) + 1j * rng.normal(size=pgrid.shape()))
+    zc = np.array([2.0, 1.0])
+
+    def a_sigma(zx, zp):
+        return (np.exp(-((zx - zc[0]) ** 2 + (zp - zc[1]) ** 2) / (2 * 0.6 ** 2))
+                * np.exp(-1j * (0.3 * zp - 0.2 * zx) / hbar))
+
+    weights = phase_space._bopp_weights(a_sigma, F)
+    out = bopp_apply(a_sigma, F).values
+    loop = phase_space._bopp_shift_loop(weights, F)
+    expected = _bopp_direct(a_sigma, F)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(out - loop)) <= 1e-13 * scale
+    assert np.max(np.abs(out - expected)) <= 1e-12 * scale
+
+
+def _edge_gaussian(grid, hbar, x_c, p_c, width):
+    xx, pp = grid.meshgrid()
+    return PhaseFunction(grid, hbar, np.exp(-((xx - x_c) ** 2 + (pp - p_c) ** 2) / (2 * width ** 2)))
+
+
+@pytest.mark.parametrize("n_pts", [32, 64])
+@pytest.mark.parametrize("edge", ["p", "x"])
+def test_bopp_padded_spectrum_keeps_edge_shifts_zero_filled(n_pts, edge):
+    # mass near p = 0.8 P_max or x = 0.8 X: a wrapped kernel would fold the
+    # shifts that leave the grid back in; the padded spectrum zero-fills them
+    # as the shift loop does, and is no further than it from the direct sum.
+    # The twisted phase damps the output far from the origin, so errors are
+    # measured on the scale of the input, where both routes round
+    hbar = 1.0
+    grid = PhaseGrid.compatible(Grid(n=1, N=n_pts, X=6.0), hbar)
+    centre = (0.0, 0.8 * grid.P_max) if edge == "p" else (0.8 * grid.X, 0.0)
+    F = _edge_gaussian(grid, hbar, *centre, 0.5)
+    scale = np.max(np.abs(F.values))
+    for a_sigma in _perfbench_symbols(hbar):
+        weights = phase_space._bopp_weights(a_sigma, F)
+        out = bopp_apply(a_sigma, F).values
+        loop = phase_space._bopp_shift_loop(weights, F)
+        expected = _bopp_direct(a_sigma, F)
+        err_out = np.max(np.abs(out - expected)) / scale
+        err_loop = np.max(np.abs(loop - expected)) / scale
+        assert np.max(np.abs(out - loop)) <= 1e-13 * scale
+        assert err_out <= err_loop + 1e-15
 
 
 def test_phase_grid_equality_and_hash_agree(grid):

@@ -10,7 +10,8 @@ For every seed and every workload of ``BENCHMARK.json`` it runs
 once per workload traced (at the first seed).  With ``--parent`` it
 runs each command in the parent checkout too, alternating which side goes
 first, so that drift of a shared machine falls on both sides alike.  It
-also times six per-call rows, best of three calls each: the n = 2, N = 64
+also times eight per-call rows, best of three calls each (five for
+``phase_shift``): the n = 2, N = 64
 quadrature oracle on perfbench's draws (``rng_for(seed, 3)``, seeds 0-7)
 against its closed-form image, the six ``bochner_apply`` calls of
 ``config_space`` (forms s1, s2, s3 on the pi/2 and 2pi/3 rotations of
@@ -24,7 +25,11 @@ function of T(z0) phi0 (N = 512, X = 12) and on a band-filling Gaussian
 (64 x 64, X = 9) for the rotations by 0.4, 2 and 3pi/4 against the closed
 forms, and the factored n = 2 ``qfio_apply`` (N = 256, X = 12) on the
 standard Gaussian for the left factors of 8 ``factor_pair`` words (full L)
-and perfbench's diagonal-L draws (seeds 0-3) against the closed form.
+and perfbench's diagonal-L draws (seeds 0-3) against the closed form, and
+``bopp_apply`` on W(phi0, h1) (N = 128 and 512, X = 12) for the three
+symbols of ``phase_space``, on both routes where the checkout has the shift
+loop, against ``reference.bopp_gaussian_kernel``, and ``phase_shift`` of
+W(phi0, phi0) (N = 512) on and off the lattice against the closed form.
 
 The file records the machine (``nproc``, the CPU model from
 ``/proc/cpuinfo``), the Python and NumPy versions, each checkout's git
@@ -255,6 +260,75 @@ for label, kind, w, m in draws:
 print(json.dumps(rows))
 """
 
+# bopp_apply on W(phi0, h1) at N = 128 and 512 (X = 12) for the three
+# symbols of phase_space: the Gaussian symbol tau = 0.8 centred at zc =
+# rng_for(0, 9).uniform(-0.5, 0.5, 2), and the delta symbols sigma = 1 and
+# 0.7, which are the Gaussian symbol with tau = 1 / sigma centred at 0.  Best
+# of three calls of bopp_apply and, where the checkout has it, of the shift
+# loop on the same weights; the reference is reference.bopp_gaussian_kernel
+# (a dense sum, about 25 s per symbol at N = 512).
+BOPP_SNIPPET = r"""
+import json, time
+import numpy as np
+import inputs, reference as ref
+import metaplectic as mp
+import metaplectic.phase_space as ps
+rows = []
+zc = inputs.rng_for(0, 9).uniform(-0.5, 0.5, size=2)
+for n_pts in (128, 512):
+    x, p = ref.phase_axes(n_pts, 12.0, 1.0)
+    grid = mp.Grid(1, n_pts, 12.0)
+    F = mp.cross_wigner(mp.SampledFunction(grid, 1.0, ref.hermite(0, x, 1.0)),
+                        mp.SampledFunction(grid, 1.0, ref.hermite(1, x, 1.0)))
+    for label, tau, centre in (("gaussian tau 0.8", 0.8, zc), ("delta sigma 1", 1.0, np.zeros(2)),
+                               ("delta sigma 0.7", 1 / 0.7, np.zeros(2))):
+        def a_sigma(zx, zp, tau=tau, c=centre):
+            return (tau ** 2 * np.exp(-1j * (zp * c[0] - zx * c[1]))
+                    * np.exp(-tau ** 2 * (zx * zx + zp * zp) / 2))
+        routes = [("bopp_apply", lambda: mp.bopp_apply(a_sigma, F).values)]
+        if hasattr(ps, "_bopp_shift_loop"):
+            weights = ps._bopp_weights(a_sigma, F)
+            routes.append(("shift loop", lambda: ps._bopp_shift_loop(weights, F)))
+        exact = ref.bopp_gaussian_kernel(F.values, x, p, tau, centre, 1.0)
+        for route, call in routes:
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                out = call()
+                times.append(time.perf_counter() - t0)
+            rows.append({"N": n_pts, "symbol": label, "route": route, "ms": 1e3 * min(times),
+                         "kernel_error": ref.rel_err(out, exact)})
+print(json.dumps(rows))
+"""
+
+# phase_shift of W(phi0, phi0) at N = 512 (X = 12), best of five calls, by
+# two lattice vectors z0 = (2 i dx, 2 k dp) and two vectors off the lattice;
+# the reference is the closed form exp(-i sigma(z, z0)) W(phi0, phi0)(z - z0 / 2).
+PHASE_SHIFT_SNIPPET = r"""
+import json, time
+import numpy as np
+import reference as ref
+import metaplectic as mp
+x, p = ref.phase_axes(512, 12.0, 1.0)
+phi0 = mp.SampledFunction(mp.Grid(1, 512, 12.0), 1.0, ref.hermite(0, x, 1.0))
+F = mp.cross_wigner(phi0, phi0)
+dx, dp = x[1] - x[0], p[1] - p[0]
+rows = []
+for kind, z0 in (("on lattice", (2 * 17 * dx, -2 * 23 * dp)), ("on lattice", (-2 * 40 * dx, 2 * 9 * dp)),
+                 ("off lattice", (0.7, -0.4)), ("off lattice", (-1.3, 2.1))):
+    z0 = np.array(z0)
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        out = mp.phase_shift(F, z0).values
+        times.append(time.perf_counter() - t0)
+    exact = (np.exp(-1j * (p[None, :] * z0[0] - x[:, None] * z0[1]))
+             * ref.gaussian_wigner(x - 0.5 * z0[0], p - 0.5 * z0[1], 1.0))
+    rows.append({"z0": z0.tolist(), "kind": kind, "ms": 1e3 * min(times),
+                 "closed_form_error": ref.rel_err(out, exact)})
+print(json.dumps(rows))
+"""
+
 PER_CALL = (
     ("qfio_apply quadrature, n = 2, N = 64, full L", "QUADRATURE_SNIPPET", QUADRATURE_SNIPPET),
     ("bochner_apply s1, s2, s3 on rotations of phi0, N = 512", "BOCHNER_SNIPPET",
@@ -267,6 +341,10 @@ PER_CALL = (
      COMPOSE_LINEAR_SNIPPET),
     ("qfio_apply factored, n = 2, N = 256, full and diagonal L", "FACTORED_N2_SNIPPET",
      FACTORED_N2_SNIPPET),
+    ("bopp_apply and the shift loop, three symbols on W(phi0, h1), N = 128 and 512",
+     "BOPP_SNIPPET", BOPP_SNIPPET),
+    ("phase_shift of W(phi0, phi0), on and off the lattice, N = 512", "PHASE_SHIFT_SNIPPET",
+     PHASE_SHIFT_SNIPPET),
 )
 
 
