@@ -108,7 +108,13 @@ def oscillatory_quadrature(phase: QuadraticPhase, amplitude, lam: float,
     a witness sum (the nested-lattice test of Trefethen & Weideman, SIAM
     Rev. 2014): the fine sum is returned once the two agree to rel_tol
     relative.  Otherwise n0 is doubled; after max_doublings lattices
-    without agreement TruncationError is raised."""
+    without agreement TruncationError is raised.
+
+    ``amplitude`` receives a (..., k) float array of points, x[..., i]
+    being coordinate i, and returns the amplitude's real or complex values
+    with the shape of x[..., 0].  The array may be a strided view (in 2-D,
+    each coordinate is one contiguous plane) and is filled afresh for
+    every call, so the callable may keep or overwrite it."""
     k = phase.dim
     if k > 2:
         raise TruncationError("oscillatory quadrature supports k <= 2")
@@ -122,7 +128,7 @@ def oscillatory_quadrature(phase: QuadraticPhase, amplitude, lam: float,
         w2 = np.zeros(n0 + 1)
         w2[::2] = _trapezoid(n0 // 2 + 1, 2.0 * (ax[1] - ax[0]))
         if k == 1:
-            vals = (np.asarray(amplitude(ax[:, None]), dtype=complex).reshape(-1)
+            vals = (np.asarray(amplitude(ax[:, None])).reshape(-1)
                     * np.exp(1j * lam * phase.value(ax[:, None]))
                     * _smooth_cutoff(np.abs(ax) / radius, config.CUTOFF_FRACTION))
             total = complex(np.sum(vals * w))
@@ -139,19 +145,33 @@ def oscillatory_quadrature(phase: QuadraticPhase, amplitude, lam: float,
             cut1 = _smooth_cutoff(np.abs(ax) / radius, config.CUTOFF_FRACTION)
             f1 = cut1 * np.exp(1j * lam * (0.5 * m11 * ax * ax + b1 * ax + phase.c))
             f2 = cut1 * np.exp(1j * lam * (0.5 * m22 * ax * ax + b2 * ax))
-            e1, e2 = w * f1, w * f2
-            c1, c2 = w2 * f1, (w2 * f2)[::2]
+            e1, c1 = w * f1, w2 * f1
+            # one product against both column weightings: the fine sum's
+            # w f2 and the witness's w2 f2 (0 on the odd columns); a real
+            # chunk meets the same (n0+1) x 2 table read as (n0+1) x 4 reals
+            rhs = np.stack([w * f2, w2 * f2], axis=-1)
+            rhs_re = rhs.view(float)
             theta = lam * m12 * (2.0 * radius / n0) ** 2
             total = witness = 0.0 + 0.0j
             rows = max(2, _BLOCK_BYTES // (16 * (n0 + 1)) // 2 * 2)
+            # axis-major points: a sum over the coordinate axis adds two planes
+            buf = np.empty((2, min(rows, n0 + 1), n0 + 1))
             for lo in range(0, n0 + 1, rows):
                 hi = min(lo + rows, n0 + 1)
-                pts = np.stack(np.broadcast_arrays(ax[lo:hi, None], ax), axis=-1)
-                vals = np.asarray(amplitude(pts), dtype=complex)
+                # both planes every chunk: the callable may write into them
+                buf[0, :hi - lo] = ax[lo:hi, None]
+                buf[1, :hi - lo] = ax
+                vals = np.asarray(amplitude(np.moveaxis(buf[:, :hi - lo], 0, -1)))
                 if abs(m12) > 0:
-                    vals *= _cross_chirp(theta, lo - n0 // 2, hi - n0 // 2, n0 // 2, 0.0)
-                total += complex(np.einsum("i,ij,j->", e1[lo:hi], vals, e2))
-                witness += complex(np.einsum("i,ij,j->", c1[lo:hi:2], vals[::2, ::2], c2))
+                    chirp = _cross_chirp(theta, lo - n0 // 2, hi - n0 // 2, n0 // 2, 0.0)
+                    chirp *= vals
+                    vals = chirp
+                if np.iscomplexobj(vals):
+                    sums = vals @ rhs
+                else:
+                    sums = (vals @ rhs_re).view(complex)
+                total += complex(e1[lo:hi] @ sums[:, 0])
+                witness += complex(c1[lo:hi:2] @ sums[::2, 1])
         scale = max(abs(total), abs(witness), 1e-300)
         if abs(total - witness) / scale < rel_tol:
             return total
@@ -189,8 +209,9 @@ def metaplectic_asymptotic(s: SymplecticMatrix, nu: int, F, z: np.ndarray,
     against a direct quadrature reference.
 
     F is a smooth compactly supported callable on phase space, evaluated
-    on (..., 2) stacked points; support_radius bounds its support.  The
-    leading value is
+    on a fresh (..., 2) float array of points (coordinate axis last, not
+    necessarily contiguous) and returning real or complex values;
+    support_radius bounds its support.  The leading value is
 
         i^nu e^{i phi(z_c)/hbar} e^{i pi sgn(M_S)/4}
         F(z - z_c/2) / sqrt(|det(S-I)| |det M_S|),
@@ -210,8 +231,9 @@ def metaplectic_asymptotic(s: SymplecticMatrix, nu: int, F, z: np.ndarray,
     phase = QuadraticPhase(m_cay, -(j @ z))
 
     def amplitude(z0):
-        z0 = np.asarray(z0, dtype=float)
-        return np.asarray(F(z - 0.5 * z0), dtype=complex)
+        w = np.multiply(z0, -0.5)
+        w += z
+        return F(w)
 
     pref = pref / (2.0 * math.pi * hbar) ** s.n
     lead = pref * stationary_phase(phase, amplitude, lam)

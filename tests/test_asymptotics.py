@@ -22,6 +22,8 @@ from metaplectic import (
     stationary_phase,
     TruncationError,
 )
+from metaplectic import config
+from metaplectic.grids import _smooth_cutoff, _trapezoid
 
 
 def test_quadratic_phase_value_and_gradient():
@@ -97,26 +99,76 @@ def _gaussian_fresnel(m, b, c, a, lam):
     """Closed form of Integral e^{i lam (M x.x / 2 + b.x + c)} e^{-a |x|^2 / 2} dx:
     (2 pi)^{k/2} det(Q)^{-1/2} e^{i lam c} e^{j.Q^{-1} j / 2}, Q = a I - i lam M,
     j = i lam b, with det(Q)^{-1/2} the product of principal roots over the
-    eigenvalues a - i lam mu of Q (all in the right half-plane)."""
+    eigenvalues a - i lam mu of Q (all in the right half-plane).  b may be
+    complex: a real linear term r.x in the exponent is b = -i r / lam."""
     m = np.atleast_2d(m)
     k = m.shape[0]
     q = a * np.eye(k) - 1j * lam * m
-    j = 1j * lam * np.asarray(b, dtype=float)
+    j = 1j * lam * np.asarray(b)
     root = np.prod(np.sqrt(a - 1j * lam * np.linalg.eigvalsh(m)))
     return ((2 * math.pi) ** (k / 2) / root * np.exp(1j * lam * c)
             * np.exp(0.5 * j @ np.linalg.solve(q, j)))
 
 
-@pytest.mark.parametrize("m, b, c, lam", [
-    (np.array([[2.0]]), np.array([0.6]), 0.1, 30.0),
-    (np.array([[1.5, 0.4], [0.4, -0.9]]), np.array([0.2, -0.5]), 0.3, 20.0),
+@pytest.mark.parametrize("m, b, c, lam, kx", [
+    pytest.param(np.array([[2.0]]), np.array([0.6]), 0.1, 30.0, None, id="m0-b0-0.1-30.0"),
+    pytest.param(np.array([[1.5, 0.4], [0.4, -0.9]]), np.array([0.2, -0.5]), 0.3, 20.0,
+                 None, id="m1-b1-0.3-20.0"),
+    # a complex amplitude e^{i k.x} shifts the phase slope to b + k / lam
+    pytest.param(np.array([[2.0]]), np.array([0.6]), 0.1, 30.0, np.array([2.5]),
+                 id="complex-amplitude-1d"),
+    pytest.param(np.array([[1.5, 0.4], [0.4, -0.9]]), np.array([0.2, -0.5]), 0.3, 20.0,
+                 np.array([1.5, -0.8]), id="complex-amplitude-2d"),
+    pytest.param(np.array([[1.5, 0.0], [0.0, -0.9]]), np.array([0.2, -0.5]), 0.3, 10.0,
+                 np.array([1.5, -0.8]), id="complex-amplitude-2d-diagonal"),
 ])
-def test_oscillatory_quadrature_matches_gaussian_fresnel_integral(m, b, c, lam):
+def test_oscillatory_quadrature_matches_gaussian_fresnel_integral(m, b, c, lam, kx):
     a = 2.0
-    amp = lambda x: np.exp(-0.5 * a * np.sum(x * x, axis=-1))
+    if kx is None:
+        amp = lambda x: np.exp(-0.5 * a * np.sum(x * x, axis=-1))
+        slope = b
+    else:
+        amp = lambda x: np.exp(-0.5 * a * np.sum(x * x, axis=-1) + 1j * (x @ kx))
+        slope = b + kx / lam
     quad = oscillatory_quadrature(QuadraticPhase(m, b, c), amp, lam, radius=9.0)
-    exact = _gaussian_fresnel(m, b, c, a, lam)
+    exact = _gaussian_fresnel(m, slope, c, a, lam)
     assert abs(quad - exact) <= 1e-9 * abs(exact)
+
+
+@pytest.mark.parametrize("m12", [0.4, 0.0])
+def test_oscillatory_quadrature_returns_the_fine_lattice_sum(m12):
+    # at lam = 0.5 the lattice has n0 = 64, where the h and 2h sums differ
+    # by about 1e-13: the result is the dense trapezoid sum over the fine
+    # (n0+1)^2 lattice, with real (m12 = 0) and complex samples alike
+    ph = QuadraticPhase(np.array([[1.5, m12], [m12, -0.9]]), np.array([0.2, -0.5]), 0.3)
+    lam, radius = 0.5, 9.0
+    amp = lambda x: np.exp(-0.4 * np.sum(x * x, axis=-1))
+    quad = oscillatory_quadrature(ph, amp, lam, radius=radius)
+    ax = np.linspace(-radius, radius, 65)
+    w = _trapezoid(65, ax[1] - ax[0]) * _smooth_cutoff(np.abs(ax) / radius, config.CUTOFF_FRACTION)
+    pts = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1)
+    dense = np.sum(np.outer(w, w) * amp(pts) * np.exp(1j * lam * ph.value(pts)))
+    assert abs(quad - dense) <= 1e-14 * abs(dense)
+
+
+def test_oscillatory_quadrature_amplitude_may_write_into_its_points():
+    # lam = 8 on the indefinite 2-D phase gives n0 = 1024: two row chunks,
+    # so a callable that scales its points must not reach the next chunk
+    ph = QuadraticPhase(np.array([[1.5, 0.4], [0.4, -0.9]]), np.array([0.2, -0.5]))
+    calls = []
+
+    def amp(x):
+        return np.exp(-0.4 * np.sum(x * x, axis=-1))
+
+    def amp_writes(x):
+        calls.append(x.shape)
+        val = amp(x)
+        x *= 7.0
+        return val
+
+    quad = oscillatory_quadrature(ph, amp, 8.0, radius=9.0)
+    assert oscillatory_quadrature(ph, amp_writes, 8.0, radius=9.0) == quad
+    assert len(calls) >= 2
 
 
 def test_oscillatory_quadrature_samples_one_lattice():
@@ -202,6 +254,25 @@ def test_metaplectic_asymptotic_hbar_halving():
                                 support_radius=5.0)
     assert r1.relative_error < 0.4
     assert 0.3 < r2.relative_error / r1.relative_error < 0.7
+
+
+@pytest.mark.parametrize("hbar", [0.1, 0.05])
+def test_metaplectic_asymptotic_quadrature_matches_closed_form(hbar):
+    # with F(z) = exp(-|z|^2) the z0-integrand is exp(i lam (M_S z0.z0 / 2
+    # - Jz.z0)) exp(-|z0|^2 / 4 + z.z0 - |z|^2): a Gaussian-Fresnel integral
+    # with a = 1/2 whose real linear term z.z0 is the slope -i z / lam
+    alpha = 2 * math.pi / 3
+    s = rotation(alpha)
+    nu = conley_zehnder(rotation_generating(alpha), 0)
+    bump = lambda z: np.exp(-np.sum(np.asarray(z) ** 2, axis=-1))
+    z = np.array([0.7, -0.4])
+    lam = 1.0 / hbar
+    res = metaplectic_asymptotic(s, nu, bump, z, hbar=hbar, support_radius=5.0)
+    pref = (1j ** (nu % 4) / math.sqrt(abs(np.linalg.det(s.entries - np.eye(2))))
+            / (2 * math.pi * hbar))
+    slope = -(standard_j(1) @ z) - 1j * z / lam
+    exact = pref * np.exp(-z @ z) * _gaussian_fresnel(cayley(s), slope, 0.0, 0.5, lam)
+    assert abs(res.quadrature - exact) <= 1e-12 * abs(exact)
 
 
 def test_metaplectic_asymptotic_rejects_singular_gates():

@@ -10,7 +10,7 @@ For every seed and every workload of ``BENCHMARK.json`` it runs
 once per workload traced (at the first seed).  With ``--parent`` it
 runs each command in the parent checkout too, alternating which side goes
 first, so that drift of a shared machine falls on both sides alike.  It
-also times eight per-call rows, best of three calls each (five for
+also times nine per-call rows, best of three calls each (five for
 ``phase_shift``): the n = 2, N = 64
 quadrature oracle on perfbench's draws (``rng_for(seed, 3)``, seeds 0-7)
 against its closed-form image, the six ``bochner_apply`` calls of
@@ -29,7 +29,10 @@ and perfbench's diagonal-L draws (seeds 0-3) against the closed form, and
 ``bopp_apply`` on W(phi0, h1) (N = 128 and 512, X = 12) for the three
 symbols of ``phase_space``, on both routes where the checkout has the shift
 loop, against ``reference.bopp_gaussian_kernel``, and ``phase_shift`` of
-W(phi0, phi0) (N = 512) on and off the lattice against the closed form.
+W(phi0, phi0) (N = 512) on and off the lattice against the closed form,
+and ``phase_space``'s ``metaplectic_asymptotic`` ladder (hbar = 0.1, 0.05,
+0.025) with each call's ``relative_error`` and its quadrature's error against
+the Gaussian-Fresnel closed form.
 
 The file records the machine (``nproc``, the CPU model from
 ``/proc/cpuinfo``), the Python and NumPy versions, each checkout's git
@@ -329,6 +332,43 @@ for kind, z0 in (("on lattice", (2 * 17 * dx, -2 * 23 * dp)), ("on lattice", (-2
 print(json.dumps(rows))
 """
 
+# The metaplectic_asymptotic ladder of phase_space (rotation by 2pi/3,
+# perfbench's bump, z = (0.7, -0.4), support radius 5), best of three per
+# hbar, with each call's relative_error and its quadrature's error against the
+# Gaussian-Fresnel closed form: the z0-integrand is exp(i (M_S z0.z0 / 2
+# - Jz.z0) / hbar) exp(-|z0|^2 / 4 + z.z0 - |z|^2) times the Cayley
+# prefactor over 2 pi hbar.
+ASYMPTOTIC_SNIPPET = r"""
+import json, math, time
+import numpy as np
+import reference as ref
+import metaplectic as mp
+from wl_phase_space import ALPHA, LADDER, Z_EVAL, _bump
+S = ref.rotation(ALPHA)
+nu = mp.conley_zehnder(mp.rotation_generating(ALPHA), 0)
+rot = mp.rotation(ALPHA)
+m = ref.cayley(S)
+rows = []
+for hbar in LADDER:
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        res = mp.metaplectic_asymptotic(rot, nu, _bump, Z_EVAL, hbar=hbar, support_radius=5.0)
+        times.append(time.perf_counter() - t0)
+    lam = 1.0 / hbar
+    # Integral e^{i lam (M x.x / 2 + b.x)} e^{-|x|^2 / 4} dx with complex b
+    b = -(ref.J2 @ Z_EVAL) - 1j * Z_EVAL / lam
+    q = 0.5 * np.eye(2) - 1j * lam * m
+    jv = 1j * lam * b
+    root = np.prod(np.sqrt(0.5 - 1j * lam * np.linalg.eigvalsh(m)))
+    pref = 1j ** (nu % 4) / math.sqrt(abs(np.linalg.det(S - np.eye(2)))) / (2 * math.pi * hbar)
+    exact = (pref * np.exp(-Z_EVAL @ Z_EVAL) * 2 * math.pi / root
+             * np.exp(0.5 * jv @ np.linalg.solve(q, jv)))
+    rows.append({"hbar": hbar, "ms": 1e3 * min(times), "relative_error": res.relative_error,
+                 "quadrature_closed_form_error": abs(res.quadrature - exact) / abs(exact)})
+print(json.dumps(rows))
+"""
+
 PER_CALL = (
     ("qfio_apply quadrature, n = 2, N = 64, full L", "QUADRATURE_SNIPPET", QUADRATURE_SNIPPET),
     ("bochner_apply s1, s2, s3 on rotations of phi0, N = 512", "BOCHNER_SNIPPET",
@@ -345,6 +385,8 @@ PER_CALL = (
      "BOPP_SNIPPET", BOPP_SNIPPET),
     ("phase_shift of W(phi0, phi0), on and off the lattice, N = 512", "PHASE_SHIFT_SNIPPET",
      PHASE_SHIFT_SNIPPET),
+    ("metaplectic_asymptotic ladder of phase_space, hbar = 0.1, 0.05, 0.025",
+     "ASYMPTOTIC_SNIPPET", ASYMPTOTIC_SNIPPET),
 )
 
 
