@@ -25,9 +25,9 @@ import numpy as np
 
 from . import config
 from .errors import DegeneratePhaseError, TruncationError
-from .grids import _BLOCK_BYTES, _cross_chirp, _smooth_cutoff, _trapezoid
+from .grids import _BLOCK_BYTES, _lattice_cis, _smooth_cutoff, _trapezoid
 from .indices import signature
-from .symplectic import SymplecticMatrix, _integral_form, cayley, standard_j
+from .symplectic import SymplecticMatrix, _integral_form, _quadratic_form, cayley, standard_j
 
 __all__ = [
     "QuadraticPhase",
@@ -64,8 +64,7 @@ class QuadraticPhase:
 
     def value(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        quad = 0.5 * np.einsum("...i,ij,...j->...", x, self.m, x)
-        return quad + x @ self.b + self.c
+        return 0.5 * _quadratic_form(self.m, x) + x @ self.b + self.c
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.m + self.b
@@ -96,7 +95,7 @@ def stationary_phase(phase: QuadraticPhase, amplitude, lam: float) -> complex:
 
 def oscillatory_quadrature(phase: QuadraticPhase, amplitude, lam: float,
                            radius: float, rel_tol: float = 1e-6,
-                           max_doublings: int = 8) -> complex:
+                           max_doublings: int = 3) -> complex:
     """Direct trapezoid reference for Integral e^{i lam phi} a dx over
     |x| <= radius with a C-infinity cutoff over its last 20 percent
     (``config.CUTOFF_FRACTION``).
@@ -108,7 +107,8 @@ def oscillatory_quadrature(phase: QuadraticPhase, amplitude, lam: float,
     a witness sum (the nested-lattice test of Trefethen & Weideman, SIAM
     Rev. 2014): the fine sum is returned once the two agree to rel_tol
     relative.  Otherwise n0 is doubled; after max_doublings lattices
-    without agreement TruncationError is raised.
+    without agreement TruncationError is raised, and at once on a lattice
+    whose sums are not finite.
 
     ``amplitude`` receives a (..., k) float array of points, x[..., i]
     being coordinate i, and returns the amplitude's real or complex values
@@ -152,6 +152,7 @@ def oscillatory_quadrature(phase: QuadraticPhase, amplitude, lam: float,
             rhs = np.stack([w * f2, w2 * f2], axis=-1)
             rhs_re = rhs.view(float)
             theta = lam * m12 * (2.0 * radius / n0) ** 2
+            cols = range(-(n0 // 2), n0 // 2 + 1)
             total = witness = 0.0 + 0.0j
             rows = max(2, _BLOCK_BYTES // (16 * (n0 + 1)) // 2 * 2)
             # axis-major points: a sum over the coordinate axis adds two planes
@@ -163,7 +164,7 @@ def oscillatory_quadrature(phase: QuadraticPhase, amplitude, lam: float,
                 buf[1, :hi - lo] = ax
                 vals = np.asarray(amplitude(np.moveaxis(buf[:, :hi - lo], 0, -1)))
                 if abs(m12) > 0:
-                    chirp = _cross_chirp(theta, lo - n0 // 2, hi - n0 // 2, n0 // 2, 0.0)
+                    chirp = _lattice_cis(theta, range(lo - n0 // 2, hi - n0 // 2), cols)
                     chirp *= vals
                     vals = chirp
                 if np.iscomplexobj(vals):
@@ -172,9 +173,12 @@ def oscillatory_quadrature(phase: QuadraticPhase, amplitude, lam: float,
                     sums = (vals @ rhs_re).view(complex)
                 total += complex(e1[lo:hi] @ sums[:, 0])
                 witness += complex(c1[lo:hi:2] @ sums[::2, 1])
-        scale = max(abs(total), abs(witness), 1e-300)
-        if abs(total - witness) / scale < rel_tol:
+        gap = abs(total - witness) / max(abs(total), abs(witness), 1e-300)
+        if gap < rel_tol:
             return total
+        if not math.isfinite(gap):
+            raise TruncationError(
+                f"oscillatory quadrature is not finite on the {n0 + 1}-point lattice")
         n0 *= 2
     raise TruncationError(
         f"oscillatory quadrature did not stabilize to {rel_tol:g} "

@@ -351,16 +351,15 @@ def _shear_plan(g_mat: np.ndarray, n_pts, steps):
     """(l, u, pad, i) for the sum over w of c(w) exp(i z.G w / hbar): the shear
     w_l = w'_l + u w'_l' (l' = 1 - l) that zeroes entry (i, l') of G T, and the
     cells ``pad`` by which it widens axis l of the n_pts lattice with
-    ``steps`` on either side.  Of the four shears (one per entry of a row,
-    and one of each row's pair has |u| <= 1), the one with the smallest
-    padded workspace; u = 0 when G already has a zero entry."""
-    zeros = np.argwhere(g_mat == 0.0)
-    if zeros.size:
-        i, lz = (int(a) for a in zeros[0])
-        return 1 - lz, 0.0, 0, i
+    ``steps`` on either side.  Of the shears with a nonzero pivot G[i, l]
+    (one per entry of a row, and one of each row's pair has |u| <= 1), the
+    one with the smallest padded workspace; a zero entry of G gives u = 0
+    and no pad."""
     best = None
     for i in (0, 1):
         for l in (0, 1):
+            if g_mat[i, l] == 0.0:
+                continue
             lp = 1 - l
             u = -g_mat[i, lp] / g_mat[i, l]
             pad = math.ceil(abs(u) * (n_pts[lp] // 2) * steps[lp] / steps[l])
@@ -525,23 +524,20 @@ def _integer_shift(values: np.ndarray, shifts: tuple[int, ...]) -> np.ndarray:
 
 def _edge_ratio(values: np.ndarray, inside=None) -> float:
     """Largest |value| in the two outermost layers at either end of every axis
-    (of the region ``inside``), relative to the peak; 0 when all vanish."""
+    of the region ``inside`` (the whole array by default), relative to the
+    peak; 0 when all vanish."""
     a = np.abs(values)
     peak = float(np.max(a))
     if peak == 0.0:
         return 0.0
-    if inside is not None:  # the region less its points 2 cells deep inside it
-        core = inside.copy()
-        for ax in range(a.ndim):
-            c, i = np.moveaxis(core, ax, 0), np.moveaxis(inside, ax, 0)
-            c[2:-2] &= i[:-4] & i[1:-3] & i[3:-1] & i[4:]
-            c[:2] = c[-2:] = False
-        return float(np.max(a[inside & ~core], initial=0.0)) / peak
-    worst = 0.0
+    inside = np.ones(a.shape, dtype=bool) if inside is None else inside
+    # the region less its points 2 cells deep inside it
+    core = inside.copy()
     for ax in range(a.ndim):
-        layers = np.moveaxis(a, ax, 0)
-        worst = max(worst, float(np.max(layers[:2])), float(np.max(layers[-2:])))
-    return worst / peak
+        c, i = np.moveaxis(core, ax, 0), np.moveaxis(inside, ax, 0)
+        c[2:-2] &= i[:-4] & i[1:-3] & i[3:-1] & i[4:]
+        c[:2] = c[-2:] = False
+    return float(np.max(a[inside & ~core], initial=0.0)) / peak
 
 
 def _warn_at_edge(values: np.ndarray, what: str, tol=config.TAIL_TOL, inside=None) -> None:
@@ -557,33 +553,20 @@ def _warn_at_edge(values: np.ndarray, what: str, tol=config.TAIL_TOL, inside=Non
         )
 
 
-def _cross_chirp(theta: float, k_lo: int, k_hi: int, j_max: int, col) -> np.ndarray:
-    """exp(i theta k j + i col_j) for k in [k_lo, k_hi) (rows) and j in
-    [-j_max, j_max] (columns), from two small tables instead of one exp per
-    entry: with k = k_top + k_low, k_top = k_lo + B q and 0 <= k_low < B ~ sqrt(K),
-    it is exp(i theta k_top j) exp(i theta k_low j + i col_j), about 2 sqrt(K) J
-    exponentials for the K x J lattice.  No phase exceeds |theta| max|k| j_max
-    plus |col|, the size of the direct phases."""
-    rows = k_hi - k_lo
-    block = math.isqrt(rows - 1) + 1
-    j = np.arange(-j_max, j_max + 1)
-    k_top = k_lo + block * np.arange(-(-rows // block))
-    hi = np.exp(1j * (theta * np.multiply.outer(k_top, j)))
-    lo = np.exp(1j * (theta * np.multiply.outer(np.arange(block), j) + col))
-    return (hi[:, None, :] * lo).reshape(-1, j.size)[:rows]
-
-
 def _lattice_cis(theta: float, rows: range, cols: range, row=0.0, col=0.0) -> np.ndarray:
     """exp(i (theta r c + row_r + col_c)) for the integers r in ``rows``
     (first axis) and c in ``cols`` (second axis), with ``row`` and ``col``
-    phases per entry of each range or scalars: the bilinear term comes from
-    ``_cross_chirp`` on the symmetric column range that holds ``cols``, so a
-    table costs about 2 sqrt(len(rows)) columns' worth of exponentials."""
-    j_max = max(-cols.start, cols.stop - 1, 0)
-    full = np.zeros(2 * j_max + 1)
-    full[cols.start + j_max:cols.stop + j_max] = col
-    out = _cross_chirp(theta, rows.start, rows.stop, j_max, full)
-    out = out[:, cols.start + j_max:cols.stop + j_max]
+    phases per entry of each range or scalars.  With r = r_top + r_low,
+    r_top = rows.start + B q and 0 <= r_low < B ~ sqrt(R), the table is
+    exp(i theta r_top c) exp(i theta r_low c + i col_c): about 2 sqrt(R) C
+    exponentials for R x C entries, and no phase larger than the direct ones."""
+    n_rows = len(rows)
+    block = math.isqrt(n_rows - 1) + 1
+    c = np.arange(cols.start, cols.stop)
+    r_top = rows.start + block * np.arange(-(-n_rows // block))
+    hi = np.exp(1j * (theta * np.multiply.outer(r_top, c)))
+    lo = np.exp(1j * (theta * np.multiply.outer(np.arange(block), c) + col))
+    out = (hi[:, None, :] * lo).reshape(-1, c.size)[:n_rows]
     if np.any(row):
         out *= np.exp(1j * np.asarray(row, dtype=float))[:, None]
     return out

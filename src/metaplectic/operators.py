@@ -31,14 +31,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import config
 from .errors import BandwidthExceededWarning, FactorizationFailedError, GridMismatchError
-from .grids import (SampledFunction, _box_radius, _centered_fft, _cross_chirp,
-                    _fourier_sum_axis, _quadratic_phase_sum, _smooth_cutoff, _support_box,
+from .grids import (SampledFunction, _box_radius, _centered_fft, _fourier_sum_axis,
+                    _lattice_cis, _quadratic_phase_sum, _smooth_cutoff, _support_box,
                     _translate, _warn_at_edge, interpolate_values)
 from .indices import maslov_branch
 from .symplectic import (
     GeneratingFunction,
     SymplecticMatrix,
     _integral_form,
+    _quadratic_form,
     det_s_minus_i,
     free_from_generating,
     generating_from_free,
@@ -62,16 +63,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # elementary operators
 
-def _quadratic_phase(mesh: list[np.ndarray], mat: np.ndarray) -> np.ndarray:
-    """(1/2) <M x, x> on a mesh of coordinate arrays."""
-    n = len(mesh)
-    acc = np.zeros_like(mesh[0])
-    for i in range(n):
-        for k in range(n):
-            acc = acc + 0.5 * mat[i, k] * mesh[i] * mesh[k]
-    return acc
-
-
 def chirp_multiply(f: SampledFunction, p: np.ndarray) -> SampledFunction:
     """Multiply by the chirp exp(i <P x, x> / 2 hbar); P symmetric.
 
@@ -79,7 +70,7 @@ def chirp_multiply(f: SampledFunction, p: np.ndarray) -> SampledFunction:
     p = np.atleast_2d(np.asarray(p, dtype=float))
     if p.shape != (f.grid.n, f.grid.n):
         raise GridMismatchError(f"chirp matrix must be {f.grid.n}x{f.grid.n}")
-    phase = _quadratic_phase(f.grid.meshgrid(), p)
+    phase = 0.5 * _quadratic_form(p, np.stack(f.grid.meshgrid(), axis=-1))
     return f.with_values(f.values * np.exp(1j * phase / f.hbar))
 
 
@@ -388,7 +379,7 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
     the quadrant x0, p0 >= 0 and mirrored (bit-identical), and the phase
     (m00 x0^2 / 2 + (m01 - 1/2) x0 p0 + m11 p0^2 / 2) / hbar splits into a
     row chirp, a column chirp, and the cross term, taken from a two-level
-    table (``grids._cross_chirp``).  An exp or hypot over the full lattice
+    table (``grids._lattice_cis``).  An exp or hypot over the full lattice
     is never evaluated.  The shifts f(x - x0) are the rows of one window
     stack of f, zero-padded by the largest shift.
     """
@@ -429,7 +420,8 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
     # and the cross term (m01 - 1/2) x0 p0 come from the two-level table
     row_chirp = np.exp(0.5j * m_s[0, 0] * x0 * x0 / hbar)
     theta = (m_s[0, 1] - 0.5) * dx * dp0 / hbar
-    coeff = _cross_chirp(theta, -k_max, k_max + 1, j_max, 0.5 * m_s[1, 1] * p0 * p0 / hbar)
+    coeff = _lattice_cis(theta, range(-k_max, k_max + 1), range(-j_max, j_max + 1),
+                         col=0.5 * m_s[1, 1] * p0 * p0 / hbar)
     coeff *= chi
 
     # inner p0 transform: for each x0 row, sum_p0 coeff exp(i p0 x / hbar)

@@ -331,8 +331,9 @@ def _bopp_weights(a_sigma, F: PhaseFunction):
     """The quadrature weights w(a, b) of ``bopp_apply`` on the shifts
     (x0, p0) = (2 a dx, 2 b dp), |a| <= kx, |b| <= kp, as a (2 kx + 1) x
     (2 kp + 1) array: the symbol times the cutoff times the cell over
-    2 pi hbar, zero below 1e-14 of the symbol's peak.  None when F vanishes;
-    TruncationError when the symbol has not decayed at the truncation ring."""
+    2 pi hbar, zero below 1e-14 of the symbol's peak.  None when F or every
+    weight vanishes; TruncationError when the symbol has not decayed at the
+    truncation ring."""
     grid = F.grid
     box = _support_box(F.values, pad=2)
     if box is None:
@@ -362,6 +363,8 @@ def _bopp_weights(a_sigma, F: PhaseFunction):
     chi = _smooth_cutoff(rr, config.CUTOFF_FRACTION)
     weights = a_vals * chi * (step_x * step_p) / (2.0 * math.pi * F.hbar)
     keep = np.abs(weights) > 1e-14 * max(peak, 1e-300)
+    if not keep.any():
+        return None
     return np.where(keep, weights, 0.0)
 
 
@@ -433,8 +436,6 @@ def _bopp_padded_spectrum(weights: np.ndarray, F: PhaseFunction) -> np.ndarray:
     length = 2 * n_p
     kx = weights.shape[0] // 2
     rows = np.flatnonzero(weights.any(axis=1))
-    if rows.size == 0:
-        return np.zeros((n_x, n_p), dtype=complex)
     # shifts a_lo..a_hi, widened to hold a = 0 so the band pads are >= 0
     a_lo, a_hi = min(rows[0] - kx, 0), max(rows[-1] - kx, 0)
     band = a_hi - a_lo + 1
@@ -454,7 +455,6 @@ def _bopp_padded_spectrum(weights: np.ndarray, F: PhaseFunction) -> np.ndarray:
     dm = 2 * q[None, :] - 2 * s[:, None]
     spec = np.zeros(sentinel + 1, dtype=complex)
     spec[:-1].reshape(n_x, length)[...] = np.fft.fft(F.values, n=length, axis=1)
-    out = np.empty_like(spec)
 
     # the band of M_r as rows t = a_hi - a of a padded table, read as a dense
     # block by a window with row stride width - 1; the block's input rows are
@@ -478,5 +478,7 @@ def _bopp_padded_spectrum(weights: np.ndarray, F: PhaseFunction) -> np.ndarray:
             q0, q1 = max(0, n_q - i1), min(n_q, n_x + n_q - 1 - i0)
             m_blk = windows[i0 * width::width - 1][:i1 - i0, :i1 - i0 + band - 1]
             prod[i0:i1, q0:q1] = m_blk @ b_ext[i0:i1 + band - 1, q0:q1]
-        out[idx] = prod
-    return np.fft.ifft(out[:-1].reshape(n_x, length), axis=1)[:, :n_p]
+        # class r reads and writes only its own lines, all read above
+        spec[idx] = prod
+        spec[-1] = 0.0
+    return np.fft.ifft(spec[:-1].reshape(n_x, length), axis=1)[:, :n_p]

@@ -65,6 +65,11 @@ def symplectic_form(z1: np.ndarray, z2: np.ndarray) -> float:
     return float(z1[n:] @ z2[:n] - z1[:n] @ z2[n:])
 
 
+def _quadratic_form(mat: np.ndarray, x: np.ndarray, y=None) -> np.ndarray:
+    """y.(mat x) over the last axis of broadcastable stacks of vectors; y = x by default."""
+    return np.einsum("...i,ij,...j->...", x if y is None else y, mat, x)
+
+
 def is_symplectic(entries: np.ndarray) -> bool:
     """Check S^T J S = J entrywise within config.TOL_SYMP."""
     entries = np.asarray(entries, dtype=float)
@@ -166,10 +171,8 @@ class GeneratingFunction:
         """Evaluate W(x, x'); accepts broadcastable stacks of n-vectors."""
         x = np.asarray(x, dtype=float)
         xp = np.asarray(xp, dtype=float)
-        px = 0.5 * np.einsum("...i,ij,...j->...", x, self.P, x)
-        lx = np.einsum("...i,ij,...j->...", xp, self.L, x)
-        qx = 0.5 * np.einsum("...i,ij,...j->...", xp, self.Q, xp)
-        return px - lx + qx
+        return (0.5 * _quadratic_form(self.P, x) - _quadratic_form(self.L, x, xp)
+                + 0.5 * _quadratic_form(self.Q, xp))
 
     def hessian_xx(self) -> np.ndarray:
         """Hessian of x -> W(x, x): P + Q - L - L^T."""

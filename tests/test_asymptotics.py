@@ -206,6 +206,37 @@ def test_oscillatory_quadrature_raises_when_unconverged():
                                max_doublings=1)
 
 
+# a 2-D phase whose first lattice is the smallest, n0 = 16 (17 columns)
+_SMALL_PHASE = QuadraticPhase(np.array([[0.9, 0.3], [0.3, -0.6]]), np.array([0.2, -0.1]))
+
+
+def _column_counter(values):
+    # an amplitude that records the column count of each lattice it samples
+    cols = []
+
+    def amp(x):
+        cols.append(x.shape[-2])
+        return values(x)
+    return amp, cols
+
+
+def test_oscillatory_quadrature_raises_at_once_on_non_finite_sums():
+    amp, cols = _column_counter(lambda x: np.full(x.shape[:-1], np.nan))
+    with pytest.raises(TruncationError, match="not finite"):
+        oscillatory_quadrature(_SMALL_PHASE, amp, 1.0, radius=2.0)
+    assert set(cols) == {17}
+
+
+def test_oscillatory_quadrature_default_samples_at_most_three_lattices():
+    # noise never meets its witness: the default gives up after the
+    # 17-, 33- and 65-column lattices
+    rng = np.random.default_rng(3)
+    amp, cols = _column_counter(lambda x: rng.normal(size=x.shape[:-1]))
+    with pytest.raises(TruncationError, match="did not stabilize"):
+        oscillatory_quadrature(_SMALL_PHASE, amp, 1.0, radius=2.0)
+    assert sorted(set(cols)) == [17, 33, 65]
+
+
 def test_cayley_determinant_power_identity():
     # det M_S = 2^{-2n} det(S + I) / det(S - I); the 2n power is the one
     # the numerical identity selects (the Hessian is 2n x 2n)

@@ -24,11 +24,14 @@ from metaplectic import (
     matrix_to_json,
     PhaseFunction,
     PhaseGrid,
+    random_free_generating,
     rotation,
     rotation_generating,
     save_phase,
     save_sampled,
     SampledFunction,
+    word_from_json,
+    word_to_json,
 )
 from metaplectic.cli import build_parser, main
 
@@ -103,6 +106,21 @@ def test_sampled_round_trip(tmp_path):
     g = load_sampled(path)
     assert g.grid == f.grid
     np.testing.assert_allclose(g.values, f.values, rtol=0, atol=0)
+
+
+def test_word_json_round_trip():
+    # every factor's P, L, Q come back bit for bit through strict JSON text,
+    # and each branch as m mod 4
+    rng = np.random.default_rng(9)
+    word = [(random_free_generating(2, rng), 5), (random_free_generating(1, rng), -1),
+            (rotation_generating(math.pi / 3), 2)]
+    text = json.dumps(word_to_json(word), allow_nan=False)
+    assert [entry["m"] for entry in json.loads(text)] == [1, 3, 2]
+    back = word_from_json(json.loads(text))
+    assert [m for _, m in back] == [1, 3, 2]
+    for (w, _), (v, _) in zip(word, back):
+        for a, b in ((w.P, v.P), (w.L, v.L), (w.Q, v.Q)):
+            assert np.array_equal(a, b)
 
 
 def test_phase_round_trip(tmp_path):

@@ -43,7 +43,7 @@ from metaplectic import (
 )
 from metaplectic import config
 import metaplectic.grids as grids
-from metaplectic.grids import (_cross_chirp, _fourier_sum_axis, _integer_shift, _next_fast_len,
+from metaplectic.grids import (_fourier_sum_axis, _integer_shift, _lattice_cis, _next_fast_len,
                               _smooth_cutoff)
 from metaplectic.symplectic import _integral_form
 
@@ -91,6 +91,17 @@ def test_chirp_multiply_phase(grid, phi0):
     np.testing.assert_allclose(
         out.values, np.exp(0.5j * 0.7 * x * x / HBAR) * phi0.values,
         atol=1e-12)
+
+
+def test_chirp_multiply_phase_in_two_dimensions():
+    # an off-diagonal P: the phase is x.P x / 2 hbar with both cross terms
+    g2 = Grid(n=2, N=64, X=8.0)
+    p = np.array([[0.3, -0.7], [-0.7, 0.2]])
+    f = gaussian(g2, 0.5)
+    out = chirp_multiply(f, p)
+    x, y = g2.meshgrid()
+    phase = (0.3 * x * x - 1.4 * x * y + 0.2 * y * y) / (2 * 0.5)
+    np.testing.assert_allclose(out.values, np.exp(1j * phase) * f.values, rtol=0, atol=1e-12)
 
 
 def test_scale_op_non_diagonal_l_in_two_dimensions():
@@ -461,20 +472,25 @@ def test_bochner_matches_dense_coefficient_lattice(grid, form):
             assert np.max(np.abs(out - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("k_lo, k_hi, j_max", [
-    pytest.param(-k, k + 1, j, id=f"{k}-{j}")
+@pytest.mark.parametrize("rows, cols", [
+    pytest.param(range(-k, k + 1), range(-j, j + 1), id=f"{k}-{j}")
     for k, j in [(0, 0), (0, 3), (1, 2), (4, 5), (13, 7), (40, 9)]
-] + [pytest.param(57, 80, 6, id="offset-57-80-6")])
-def test_cross_chirp_matches_direct_exp(k_lo, k_hi, j_max):
-    # K = 1, 3, 9, 27 and 81 rows centred on 0: 3 and 27 cut the last block
-    # short (2 x 2, 5 x 6), the squares fill their blocks exactly; the
-    # offset range is one row chunk of a longer lattice (23 rows, 5 x 5)
+] + [pytest.param(range(57, 80), range(-6, 7), id="offset-57-80-6"),
+     pytest.param(range(-13, 14), range(5, 19), id="cols-5-19"),
+     pytest.param(range(-4, 5), range(-30, -7), id="cols-m30-m7"),
+     pytest.param(range(57, 80), range(11, 12), id="one-col")])
+def test_cross_chirp_matches_direct_exp(rows, cols):
+    # the bilinear table of _lattice_cis.  K = 1, 3, 9, 27 and 81 rows
+    # centred on 0: 3 and 27 cut the last block short (2 x 2, 5 x 6), the
+    # squares fill their blocks exactly; the offset range is one row chunk
+    # of a longer lattice (23 rows, 5 x 5); the column ranges need not hold
+    # 0 or be symmetric, and may be one column
     theta = -0.0371
-    j = np.arange(-j_max, j_max + 1)
+    j = np.arange(cols.start, cols.stop)
     col = 0.013 * j * j
-    k = np.arange(k_lo, k_hi)[:, None]
+    k = np.arange(rows.start, rows.stop)[:, None]
     phase = theta * k * j + col
-    table = _cross_chirp(theta, k_lo, k_hi, j_max, col)
+    table = _lattice_cis(theta, rows, cols, col=col)
     assert table.shape == phase.shape
     # rounding of a phase is eps |phase|, and the table multiplies two factors
     tol = 4 * np.finfo(float).eps * (1 + np.max(np.abs(phase)))

@@ -753,6 +753,8 @@ def test_bopp_padded_spectrum_matches_shift_loop_on_wigner_input(n_pts):
     (40, 27, 5.0),   # odd N_p: the lines of the padded spectrum form two classes
     (24, 50, 3.0),   # N_p > N
     (64, 20, 2.0),   # N > N_p, x-shifts beyond the grid
+    (16, 8, 3.0),    # one row block: off-grid entries of a class's product are
+                     # nonzero, and must not reach the next class's zero rows
 ])
 def test_bopp_padded_spectrum_matches_direct_sum_on_rectangular_grid(n_pts, n_p, X):
     # any grid with N_p dx dp = pi hbar rolls exactly, whatever N_p; F fills

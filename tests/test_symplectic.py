@@ -111,6 +111,27 @@ def test_generating_value_matches_blocks():
     assert abs(w.value(x, xp) - expected) < 1e-14
 
 
+def test_generating_value_n2_broadcasts_and_keeps_l_order():
+    # W(x, x') = P x.x / 2 - L x.x' + Q x'.x' / 2 with a non-symmetric L, so
+    # x and x' swapped in the L term is another number; stacks of x (3, 1, 2)
+    # and x' (4, 2) broadcast to a (3, 4) table
+    p = np.array([[0.8, -0.3], [-0.3, 0.5]])
+    l = np.array([[1.2, 0.7], [-0.4, 0.9]])
+    q = np.array([[-0.6, 0.2], [0.2, 1.1]])
+    w = GeneratingFunction(p, l, q)
+    rng = np.random.default_rng(4)
+    x, xp = rng.normal(size=(3, 1, 2)), rng.normal(size=(4, 2))
+    out = w.value(x, xp)
+    assert out.shape == (3, 4)
+    for a in range(3):
+        for b in range(4):
+            u, v = x[a, 0], xp[b]
+            expected = (0.5 * sum(p[i, k] * u[i] * u[k] for i in range(2) for k in range(2))
+                        - sum(l[i, k] * u[k] * v[i] for i in range(2) for k in range(2))
+                        + 0.5 * sum(q[i, k] * v[i] * v[k] for i in range(2) for k in range(2)))
+            assert abs(out[a, b] - expected) < 1e-14 * (1 + abs(expected))
+
+
 def test_generating_inverse_swaps_and_negates():
     rng = np.random.default_rng(3)
     w = random_free_generating(1, rng)
