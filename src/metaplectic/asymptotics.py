@@ -106,9 +106,10 @@ def oscillatory_quadrature(phase: QuadraticPhase, amplitude, lam: float,
     sublattice, the same samples with trapezoid weights for step 2h, gives
     a witness sum (the nested-lattice test of Trefethen & Weideman, SIAM
     Rev. 2014): the fine sum is returned once the two agree to rel_tol
-    relative.  Otherwise n0 is doubled; after max_doublings lattices
-    without agreement TruncationError is raised, and at once on a lattice
-    whose sums are not finite.
+    relative.  Otherwise n0 is doubled.  At most max_doublings lattices are
+    sampled, so max_doublings - 1 doublings; when none agrees,
+    TruncationError names the lattices and their sizes.  It is raised at
+    once on a lattice whose sums are not finite.
 
     ``amplitude`` receives a (..., k) float array of points, x[..., i]
     being coordinate i, and returns the amplitude's real or complex values
@@ -121,6 +122,7 @@ def oscillatory_quadrature(phase: QuadraticPhase, amplitude, lam: float,
     slope = lam * (float(np.linalg.norm(phase.m, 2)) * radius
                    + float(np.linalg.norm(phase.b)))
     n0 = int(2 ** math.ceil(math.log2(max(16.0, slope * radius / math.pi * 2.5))))
+    n_first = n0
     for _ in range(max_doublings):
         ax = np.linspace(-radius, radius, n0 + 1)
         w = _trapezoid(n0 + 1, ax[1] - ax[0])
@@ -181,8 +183,8 @@ def oscillatory_quadrature(phase: QuadraticPhase, amplitude, lam: float,
                 f"oscillatory quadrature is not finite on the {n0 + 1}-point lattice")
         n0 *= 2
     raise TruncationError(
-        f"oscillatory quadrature did not stabilize to {rel_tol:g} "
-        f"within {max_doublings} doublings"
+        f"oscillatory quadrature did not stabilize to {rel_tol:g} on {max_doublings} "
+        f"lattices, {n_first + 1} to {n0 // 2 + 1} points per axis"
     )
 
 

@@ -408,10 +408,6 @@ def _bopp_shift_loop(weights: np.ndarray, F: PhaseFunction) -> np.ndarray:
     return np.conj(mod) * acc
 
 
-# rows of one matrix block of _bopp_padded_spectrum
-_BOPP_BLOCK = 64
-
-
 def _bopp_padded_spectrum(weights: np.ndarray, F: PhaseFunction) -> np.ndarray:
     """The Bopp sum on a grid with N_p dx dp = pi hbar, with no FFT per shift.
 
@@ -430,7 +426,7 @@ def _bopp_padded_spectrum(weights: np.ndarray, F: PhaseFunction) -> np.ndarray:
     out_hat(s + q, u - 2 (s + q)) = Sum_s' M_r[s, s'] B_r[s', q], where
     B_r[s', q] = Fh(s' + q, (r + 2 q - 2 s') mod L) and
     M_r[s, s'] = ph(a) G(2 (s + s') - 2 (N // 2) - r, a), a = s - s':
-    one banded matrix for all lines of the class r, applied in row blocks.
+    one banded matrix for all lines of the class r.
     """
     n_x, n_p = F.grid.shape()
     length = 2 * n_p
@@ -456,29 +452,18 @@ def _bopp_padded_spectrum(weights: np.ndarray, F: PhaseFunction) -> np.ndarray:
     spec = np.zeros(sentinel + 1, dtype=complex)
     spec[:-1].reshape(n_x, length)[...] = np.fft.fft(F.values, n=length, axis=1)
 
-    # the band of M_r as rows t = a_hi - a of a padded table, read as a dense
-    # block by a window with row stride width - 1; the block's input rows are
-    # B_r's rows offset by a_hi
-    blk = _BOPP_BLOCK
-    width = band + blk
+    # row s of M_r holds a = a_hi - t at column t, meeting B_r's row
+    # s + t - a_hi, which is row s + t of b_ext
     a_col = a_hi - np.arange(band)
     g_at = 4 * s[:, None] - 2 * a_col[None, :] - 2 * (n_x // 2)
     g_row = (a_col - a_lo) * length
-    table = np.zeros((n_s, width), dtype=complex)
     b_ext = np.zeros((n_s + band - 1, n_q), dtype=complex)
+    b_rows = sliding_window_view(b_ext, band, axis=0).transpose(0, 2, 1)
     for r in range(n_cls):
-        table[:, :band] = g_tab.ravel()[g_row + (g_at - r) % length]
-        windows = sliding_window_view(table.ravel(), blk + band - 1)
+        m_band = g_tab.ravel()[g_row + (g_at - r) % length]
         idx = np.where(row_at >= 0, row_at + (dm + r) % length, sentinel)
         b_ext[a_hi:a_hi + n_s] = spec[idx]
-        prod = np.zeros((n_s, n_q), dtype=complex)
-        for i0 in range(0, n_s, blk):
-            i1 = min(i0 + blk, n_s)
-            # lines q whose rows s + q, s in the block, meet the grid
-            q0, q1 = max(0, n_q - i1), min(n_q, n_x + n_q - 1 - i0)
-            m_blk = windows[i0 * width::width - 1][:i1 - i0, :i1 - i0 + band - 1]
-            prod[i0:i1, q0:q1] = m_blk @ b_ext[i0:i1 + band - 1, q0:q1]
         # class r reads and writes only its own lines, all read above
-        spec[idx] = prod
+        spec[idx] = (m_band[:, None, :] @ b_rows)[:, 0]
         spec[-1] = 0.0
     return np.fft.ifft(spec[:-1].reshape(n_x, length), axis=1)[:, :n_p]

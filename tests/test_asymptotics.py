@@ -232,7 +232,8 @@ def test_oscillatory_quadrature_default_samples_at_most_three_lattices():
     # 17-, 33- and 65-column lattices
     rng = np.random.default_rng(3)
     amp, cols = _column_counter(lambda x: rng.normal(size=x.shape[:-1]))
-    with pytest.raises(TruncationError, match="did not stabilize"):
+    with pytest.raises(TruncationError,
+                       match="did not stabilize to 1e-06 on 3 lattices, 17 to 65 points per axis"):
         oscillatory_quadrature(_SMALL_PHASE, amp, 1.0, radius=2.0)
     assert sorted(set(cols)) == [17, 33, 65]
 

@@ -753,29 +753,31 @@ def test_bopp_padded_spectrum_matches_shift_loop_on_wigner_input(n_pts):
     (40, 27, 5.0),   # odd N_p: the lines of the padded spectrum form two classes
     (24, 50, 3.0),   # N_p > N
     (64, 20, 2.0),   # N > N_p, x-shifts beyond the grid
-    (16, 8, 3.0),    # one row block: off-grid entries of a class's product are
-                     # nonzero, and must not reach the next class's zero rows
+    (16, 8, 3.0),    # off-grid entries of a class's product are nonzero,
+                     # and must not reach the next class's zero rows
 ])
 def test_bopp_padded_spectrum_matches_direct_sum_on_rectangular_grid(n_pts, n_p, X):
     # any grid with N_p dx dp = pi hbar rolls exactly, whatever N_p; F fills
-    # the grid, so every shift drops or zero-fills samples at the edges
+    # the grid, so every shift drops or zero-fills samples at the edges.  The
+    # narrow symbols off the p-axis have one-sided x-shifts (a > 0 or a < 0
+    # only), so the band of shifts is widened to hold a = 0
     hbar = 0.8
     pgrid = PhaseGrid(1, n_pts, X, n_p, math.pi * hbar * n_pts / (4 * X))
     rng = np.random.default_rng(n_p)
     F = PhaseFunction(pgrid, hbar, rng.normal(size=pgrid.shape()) + 1j * rng.normal(size=pgrid.shape()))
-    zc = np.array([2.0, 1.0])
+    for zc, width in (((2.0, 1.0), 0.6), ((3.0, 0.5), 0.3), ((-3.0, -0.5), 0.3)):
 
-    def a_sigma(zx, zp):
-        return (np.exp(-((zx - zc[0]) ** 2 + (zp - zc[1]) ** 2) / (2 * 0.6 ** 2))
-                * np.exp(-1j * (0.3 * zp - 0.2 * zx) / hbar))
+        def a_sigma(zx, zp, zc=zc, width=width):
+            return (np.exp(-((zx - zc[0]) ** 2 + (zp - zc[1]) ** 2) / (2 * width ** 2))
+                    * np.exp(-1j * (0.3 * zp - 0.2 * zx) / hbar))
 
-    weights = phase_space._bopp_weights(a_sigma, F)
-    out = bopp_apply(a_sigma, F).values
-    loop = phase_space._bopp_shift_loop(weights, F)
-    expected = _bopp_direct(a_sigma, F)
-    scale = np.max(np.abs(expected))
-    assert np.max(np.abs(out - loop)) <= 1e-13 * scale
-    assert np.max(np.abs(out - expected)) <= 1e-12 * scale
+        weights = phase_space._bopp_weights(a_sigma, F)
+        out = bopp_apply(a_sigma, F).values
+        loop = phase_space._bopp_shift_loop(weights, F)
+        expected = _bopp_direct(a_sigma, F)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(out - loop)) <= 1e-13 * scale
+        assert np.max(np.abs(out - expected)) <= 1e-12 * scale
 
 
 def _edge_gaussian(grid, hbar, x_c, p_c, width):

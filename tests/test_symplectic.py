@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from metaplectic import (
+    BandwidthExceededWarning,
     bochner_apply,
     cayley,
     cayley_inverse,
@@ -221,9 +222,15 @@ def test_cayley_rejects_singular_s_minus_i():
 _PHI0 = gaussian(Grid(n=1, N=64, X=12.0), 1.0)
 
 
+def _phi0_wigner():
+    # W(phi0, phi0) on 64 points leaves the phase lattice's half band
+    with pytest.warns(BandwidthExceededWarning):
+        return cross_wigner(_PHI0, _PHI0)
+
+
 @pytest.mark.parametrize("apply_identity", [
     lambda s: bochner_apply(s, 0, _PHI0),
-    lambda s: metaplectic_phase_apply(s, 0, cross_wigner(_PHI0, _PHI0)),
+    lambda s: metaplectic_phase_apply(s, 0, _phi0_wigner()),
     lambda s: metaplectic_asymptotic(
         s, 0, lambda z: np.exp(-np.sum(np.asarray(z) ** 2, axis=-1)),
         np.zeros(2), hbar=0.1),
@@ -237,8 +244,7 @@ def test_phase_space_integrals_reject_singular_s_minus_i(apply_identity):
 @pytest.mark.parametrize("route, names", [
     (lambda form: bochner_apply(rotation(1.0), 0, _PHI0, form=form),
      ("s4", "alfa1", "alfa2")),
-    (lambda form: metaplectic_phase_apply(rotation(1.0), 0,
-                                          cross_wigner(_PHI0, _PHI0), form=form),
+    (lambda form: metaplectic_phase_apply(rotation(1.0), 0, _phi0_wigner(), form=form),
      ("s4", "s2", "s3")),
 ], ids=["bochner_apply", "metaplectic_phase_apply"])
 def test_integral_form_routes_reject_unknown_form_names(route, names):
