@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .errors import DegeneratePhaseError, TruncationError
+from .errors import DegeneratePhaseError, NumericalDomainError, TruncationError
 from .grids import _BLOCK_BYTES, _lattice_cis, _smooth_cutoff, _trapezoid
 from .indices import signature
 from .symplectic import SymplecticMatrix, _integral_form, _quadratic_form, cayley, standard_j
@@ -226,6 +226,8 @@ def metaplectic_asymptotic(s: SymplecticMatrix, nu: int, F, z: np.ndarray,
     lemma having cancelled.  M_S and the prefactor are the Cayley row of the
     table of integral forms (``symplectic._integral_form``).
     """
+    if not 0 < hbar < math.inf:
+        raise NumericalDomainError(f"hbar must be positive and finite, got {hbar}")
     two_n = 2 * s.n
     m_cay, pref = _integral_form(s, nu, twisted=False)
     if abs(np.linalg.det(s.entries + np.eye(two_n))) <= config.DET_FLOOR:

@@ -301,6 +301,8 @@ def _translate(values: np.ndarray, grid: _Lattice, shift) -> np.ndarray:
     shift are an exact index move; a remainder r above 1e-9 of a cell first
     reads the trigonometric interpolant through ``_ramp_shift`` on its axis."""
     cells = np.asarray(shift, dtype=float) / np.asarray(grid.steps)
+    if not np.all(np.isfinite(cells)):
+        raise GridMismatchError("shift must be finite")
     whole = np.rint(cells)
     for ax in np.flatnonzero(np.abs(cells - whole) >= 1e-9):
         r, size = cells[ax] - whole[ax], values.shape[ax]

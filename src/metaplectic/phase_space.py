@@ -332,8 +332,8 @@ def _bopp_weights(a_sigma, F: PhaseFunction):
     (x0, p0) = (2 a dx, 2 b dp), |a| <= kx, |b| <= kp, as a (2 kx + 1) x
     (2 kp + 1) array: the symbol times the cutoff times the cell over
     2 pi hbar, zero below 1e-14 of the symbol's peak.  None when F or every
-    weight vanishes; TruncationError when the symbol has not decayed at the
-    truncation ring."""
+    weight vanishes; TruncationError when the symbol is not finite or has not
+    decayed at the truncation ring."""
     grid = F.grid
     box = _support_box(F.values, pad=2)
     if box is None:
@@ -353,6 +353,8 @@ def _bopp_weights(a_sigma, F: PhaseFunction):
     a_vals = np.asarray(a_sigma(xx0, pp0), dtype=complex)
     if a_vals.shape != xx0.shape:
         raise TruncationError("a_sigma must return an array matching its inputs")
+    if not np.all(np.isfinite(a_vals)):
+        raise TruncationError("a_sigma must return finite values")
     peak = float(np.max(np.abs(a_vals)))
     ring = (rr >= 0.9) & (rr <= 1.0)
     if peak > 0 and ring.any() and float(np.max(np.abs(a_vals[ring]))) > 1e-3 * peak:

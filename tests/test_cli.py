@@ -72,6 +72,17 @@ def test_package_import_loads_every_module_but_cli():
     assert set(proc.stdout.split()) == modules - {"cli"}
 
 
+def test_import_loads_no_numpy_polynomial():
+    # every command pays the package import; numpy.polynomial serves none
+    import metaplectic
+    src = str(Path(metaplectic.__file__).parents[1])
+    code = ("import sys, metaplectic, metaplectic.cli; print(' '.join("
+            "k for k in sys.modules if k.startswith('numpy.polynomial')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.split() == []
+
+
 def test_only_the_package_init_imports_nufft():
     # the NUFFT is the tests' reference evaluator: no package module may
     # call it, so that deleting nufft.py takes one line of __init__ with it
@@ -375,6 +386,16 @@ def test_exit_code_numerical_domain(workdir, capsys):
     rc = main(["asymptotic", "--alpha", "0.0", "--hbar-list", "0.1",
                "--z", "0,0"])
     assert rc == 3
+
+
+@pytest.mark.parametrize("hbar", ["0", "-0.1", "inf", "nan"])
+def test_asymptotic_rejects_bad_hbar(capsys, hbar):
+    # 0 was a ZeroDivisionError traceback with exit 1 (failed verify), and
+    # nan ran the quadrature on NaN before it failed
+    rc = main(["asymptotic", "--alpha", "2.0944", f"--hbar-list={hbar}", "--z", "0.7,-0.4"])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: hbar must be positive and finite")
 
 
 def test_header_missing_key_is_a_usage_error(workdir, capsys):

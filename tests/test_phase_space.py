@@ -207,6 +207,19 @@ def test_intertwining_heisenberg_weyl(grid, phi0, h1):
     np.testing.assert_allclose(lhs.values, rhs.values, atol=1e-9)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("op", ["heisenberg_weyl", "phase_shift"])
+def test_non_finite_shift_is_rejected(phi0, op, bad):
+    # int() of a non-finite cell count raised an untyped OverflowError or
+    # ValueError, after a RuntimeWarning
+    with pytest.raises(GridMismatchError, match="shift must be finite"):
+        if op == "heisenberg_weyl":
+            heisenberg_weyl(phi0, [bad, 0.0])
+        else:
+            phase_shift(_enveloped_phase_function(PhaseGrid(1, 32, 6.0, 48, 5.0), HBAR),
+                        [bad, 0.0])
+
+
 def test_phase_shift_cocycle(grid, phi0, h1):
     w = cross_wigner(phi0, h1)
     dx = w.grid.dx
@@ -714,6 +727,26 @@ def test_bopp_rejects_symbol_not_decayed_at_truncation_ring():
     wide = lambda zx, zp: np.exp(-(zx * zx + zp * zp) / (2 * 10.0 ** 2))
     with pytest.raises(TruncationError):
         bopp_apply(wide, F)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("route", ["padded_spectrum", "shift_loop"])
+def test_bopp_rejects_non_finite_symbol(route, bad):
+    # one non-finite value made the symbol's peak non-finite, so the keep
+    # mask dropped every weight and both routes returned zeros
+    if route == "padded_spectrum":
+        grid = Grid(n=1, N=128, X=12.0)
+        F = cross_wigner(gaussian(grid, HBAR), hermite_function(1, grid, HBAR))
+    else:
+        F = _enveloped_phase_function(PhaseGrid(1, 32, 6.0, 48, 5.0), HBAR)
+
+    def a_sigma(zx, zp):
+        vals = np.exp(-(zx * zx + zp * zp) / 2)
+        vals[0, 0] = bad
+        return vals
+
+    with pytest.raises(TruncationError, match="finite values"):
+        bopp_apply(a_sigma, F)
 
 
 def _perfbench_symbols(hbar):
