@@ -15,8 +15,8 @@ from .asymptotics import (AsymptoticResult, metaplectic_asymptotic,
 from .config import RunConfig, load_config
 from .errors import (BandwidthExceededWarning, DegenerateMatrixError,
                      DegeneratePhaseError, FactorizationFailedError,
-                     GridMismatchError, NotFreeError, NumericalDomainError,
-                     OutOfDomainError, ParityMismatchError,
+                     GridMismatchError, NonIntegralIndexError, NotFreeError,
+                     NumericalDomainError, OutOfDomainError, ParityMismatchError,
                      SingularAngleError, SingularMMinusHalfJError,
                      SingularSMinusIError, TruncationError)
 from .feichtinger import (invariance_check, s0_norm, S0Report,
@@ -56,8 +56,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticResult", "BandwidthExceededWarning", "DegenerateMatrixError",
     "DegeneratePhaseError", "FactorizationFailedError", "GeneratingFunction",
-    "Grid", "GridMismatchError", "MetaplecticWord", "NotFreeError",
-    "NumericalDomainError", "OutOfDomainError", "ParityMismatchError",
+    "Grid", "GridMismatchError", "MetaplecticWord", "NonIntegralIndexError",
+    "NotFreeError", "NumericalDomainError", "OutOfDomainError", "ParityMismatchError",
     "PhaseFunction", "PhaseGrid", "QuadraticPhase", "RunConfig",
     "S0Report", "SampledFunction", "SingularAngleError",
     "SingularMMinusHalfJError", "SingularSMinusIError", "SymplecticMatrix",

@@ -34,6 +34,10 @@ class ParityMismatchError(NumericalDomainError):
     """Integer branch is incompatible with the sign of det L."""
 
 
+class NonIntegralIndexError(NumericalDomainError):
+    """A Maslov or Conley-Zehnder index is not a finite integral value."""
+
+
 class OutOfDomainError(NumericalDomainError):
     """Requested evaluation points leave the sampled domain."""
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import config
 from .errors import DegenerateMatrixError, ParityMismatchError
-from .symplectic import GeneratingFunction, det_s_minus_i
+from .symplectic import GeneratingFunction, _index_mod4, det_s_minus_i
 
 __all__ = [
     "inertia",
@@ -59,13 +59,14 @@ def maslov_branch(l: np.ndarray, branch: int) -> int:
     """Validate a Maslov branch choice against det L and reduce it mod 4.
 
     i^m sqrt|det L| is a square root of det(L) * (unimodular factor); the
-    branch m must be even when det L > 0 and odd when det L < 0.
+    branch m must be even when det L > 0 and odd when det L < 0, and
+    integral (NonIntegralIndexError otherwise).
     """
     l = np.atleast_2d(np.asarray(l, dtype=float))
     det = np.linalg.det(l)
     if abs(det) <= config.TOL_SING:
         raise DegenerateMatrixError("det L is numerically zero")
-    m = int(branch) % 4
+    m = _index_mod4(branch, "branch")
     if (det > 0.0) != (m % 2 == 0):
         raise ParityMismatchError(
             f"branch {branch} has the wrong parity for det L = {det:.6g}"

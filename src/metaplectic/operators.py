@@ -350,7 +350,9 @@ def factor_pair(s: SymplecticMatrix):
 # phase-space (Bochner) realization
 
 def support_radius(f: SampledFunction) -> float:
-    """Half-width of the bounding box where |f| exceeds config.TAIL_TOL * max|f|."""
+    """Largest |coordinate| at the ends of the bounding box where |f| exceeds
+    config.TAIL_TOL * max|f|: the radius about the origin, not the box's
+    half-width, so an off-centre f has a radius larger than its spread."""
     box = _support_box(f.values)
     if box is None:
         return 0.0
@@ -374,14 +376,25 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
     freedom only.  Independent of the (W, m) data: uses (S, nu) and the
     Cayley transform, which is what makes it an oracle for the index laws.
 
-    The x0 x p0 coefficients are those of the direct construction on the
-    same lattice, built from separable pieces: the roll-off is evaluated on
-    the quadrant x0, p0 >= 0 and mirrored (bit-identical), and the phase
-    (m00 x0^2 / 2 + (m01 - 1/2) x0 p0 + m11 p0^2 / 2) / hbar splits into a
-    row chirp, a column chirp, and the cross term, taken from a two-level
-    table (``grids._lattice_cis``).  An exp or hypot over the full lattice
-    is never evaluated.  The shifts f(x - x0) are the rows of one window
-    stack of f, zero-padded by the largest shift.
+    Only the half lattice x0 >= 0 is built and transformed.  The
+    coefficient c(z0) = exp(i (z0.M z0 / 2 - p0 x0 / 2) / hbar) chi(|z0| / R)
+    is a quadratic phase times a radial roll-off, so c(-z0) = c(z0) for
+    every row of the table, and the p0 lattice is symmetric.  The p0 sum of
+    the row -x0 at x is therefore the p0 sum of the row x0 at -x, and the
+    one p0 chirp-z pass is taken on the N + 1 points x = -X .. X that hold
+    both x and -x for every output x:
+
+        out(x) = sum_{k >= 0} inner[k, x] f(x - k dx)
+                 + sum_{k >= 1} inner[k, -x] f(x + k dx).
+
+    The coefficients are those of the direct construction on the same
+    lattice, built from separable pieces: the roll-off is evaluated on the
+    quadrant x0, p0 >= 0 and mirrored along p0 (bit-identical), and the
+    phase (m00 x0^2 / 2 + (m01 - 1/2) x0 p0 + m11 p0^2 / 2) / hbar splits
+    into a row chirp, a column chirp, and the cross term, taken from a
+    two-level table (``grids._lattice_cis``).  An exp or hypot over the
+    full lattice is never evaluated.  The shifts f(x -+ k dx) are the rows
+    of one window stack of f, zero-padded by the largest shift.
     """
     if f.grid.n != 1:
         raise GridMismatchError("bochner_apply supports n = 1 only")
@@ -399,7 +412,7 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
     # shifts beyond X + r_f move the support off the grid entirely
     radius = min(config.R_FACTOR * r_f, grid.X + r_f)
     k_max = int(math.floor(radius / dx))
-    x0 = np.arange(-k_max, k_max + 1) * dx
+    x0 = np.arange(k_max + 1) * dx  # the half lattice x0 >= 0
 
     # p0 at 2.5x the Nyquist rate of the chirp
     slope = (abs(m_s[1, 1]) * radius + abs(m_s[0, 1]) * radius
@@ -408,11 +421,9 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
     j_max = int(math.ceil(radius / dp0))
     p0 = np.arange(-j_max, j_max + 1) * dp0
 
-    # the roll-off on the quadrant x0, p0 >= 0, mirrored: (-k) dx = -(k dx)
-    # exactly, so the mirror is bit-identical to the roll-off of the lattice
-    chi = _smooth_cutoff(np.hypot.outer(x0[k_max:], p0[j_max:]) / radius,
-                         config.CUTOFF_FRACTION)
-    chi = np.concatenate((chi[:0:-1], chi), axis=0)
+    # the roll-off on the quadrant x0, p0 >= 0, mirrored along p0:
+    # (-j) dp0 = -(j dp0) exactly, so the mirror is bit-identical
+    chi = _smooth_cutoff(np.hypot.outer(x0, p0[j_max:]) / radius, config.CUTOFF_FRACTION)
     chi = np.concatenate((chi[:, :0:-1], chi), axis=1)
 
     # the chirp z0.M z0 / 2 and the shift phase -p0 x0 / 2 of T(z0): the
@@ -420,21 +431,24 @@ def bochner_apply(s: SymplecticMatrix, nu: int, f: SampledFunction,
     # and the cross term (m01 - 1/2) x0 p0 come from the two-level table
     row_chirp = np.exp(0.5j * m_s[0, 0] * x0 * x0 / hbar)
     theta = (m_s[0, 1] - 0.5) * dx * dp0 / hbar
-    coeff = _lattice_cis(theta, range(-k_max, k_max + 1), range(-j_max, j_max + 1),
+    coeff = _lattice_cis(theta, range(k_max + 1), range(-j_max, j_max + 1),
                          col=0.5 * m_s[1, 1] * p0 * p0 / hbar)
     coeff *= chi
 
-    # inner p0 transform: for each x0 row, sum_p0 coeff exp(i p0 x / hbar)
+    # inner p0 transform: for each x0 row, sum_p0 coeff exp(i p0 x / hbar) on
+    # the N + 1 symmetric points x = x_lo .. -x_lo, so that column N - t
+    # holds the row at -x for the output column t
     inner = _fourier_sum_axis(
         coeff, 1, x0=float(p0[0]), dx=dp0,
-        p0=x_lo, dp=dx, n_out=grid.N, hbar=hbar, sign=1,
-    )  # shape (len(x0), N); axis 1 is the output x index
+        p0=x_lo, dp=dx, n_out=grid.N + 1, hbar=hbar, sign=1,
+    )  # shape (k_max + 1, N + 1); axis 1 is the output x index
+    np.multiply(row_chirp[:, None], inner, out=inner)
 
     # row idx of the reversed window stack of f, zero-padded by k_max, is
-    # f(x - x0[idx]); rows are summed in shift order, and factors keep their
-    # order too (complex products need not commute bit for bit)
-    np.multiply(row_chirp[:, None], inner, out=inner)
-    np.multiply(sliding_window_view(np.pad(f.values, k_max), grid.N)[::-1], inner, out=inner)
-    out = inner.sum(axis=0)
+    # f(x - (idx - k_max) dx): rows k_max.. shift by +k dx, rows k_max - 1
+    # down to 0 by -k dx, and those meet the rows k >= 1 read at -x
+    win = sliding_window_view(np.pad(f.values, k_max), grid.N)[::-1]
+    out = (inner[:, :grid.N] * win[k_max:]).sum(axis=0)
+    out += (inner[1:, :0:-1] * win[k_max - 1::-1]).sum(axis=0)
     out *= pref / (2.0 * math.pi * hbar) * dx * dp0
     return f.with_values(out)

@@ -16,12 +16,14 @@ and det L != 0:
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 from . import config
 from .errors import (
     DegenerateMatrixError,
+    NonIntegralIndexError,
     NotFreeError,
     SingularAngleError,
     SingularMMinusHalfJError,
@@ -270,6 +272,21 @@ def det_s_minus_i(w: GeneratingFunction) -> float:
     return float(sign / np.linalg.det(w.L) * np.linalg.det(w.hessian_xx()))
 
 
+def _index_mod4(index, name: str) -> int:
+    """An index (Maslov branch or Conley-Zehnder) reduced mod 4.  An integer
+    or an integer-valued float such as 2.0 is accepted; 1.5, NaN or inf
+    raises NonIntegralIndexError instead of being truncated by int()."""
+    if isinstance(index, numbers.Integral):
+        return int(index) % 4
+    try:
+        value = float(index)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (math.isfinite(value) and value.is_integer()):
+        raise NonIntegralIndexError(f"{name} must be a finite integer, got {index!r}")
+    return int(value) % 4
+
+
 def _integral_form(s: SymplecticMatrix, nu: int, twisted: bool):
     """(M, pref): one row of the table of phase-space integral forms.
 
@@ -289,7 +306,7 @@ def _integral_form(s: SymplecticMatrix, nu: int, twisted: bool):
     det_si = float(np.linalg.det(smi))
     if abs(det_si) <= config.DET_FLOOR:
         raise SingularSMinusIError(f"|det(S - I)| = {abs(det_si):.3e} <= {config.DET_FLOOR:g}")
-    phase = 1j ** (int(nu) % 4)
+    phase = 1j ** _index_mod4(nu, "nu")
     if not twisted:
         return cayley(s), phase / math.sqrt(abs(det_si))
     js = standard_j(s.n) @ s.entries

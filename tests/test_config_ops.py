@@ -472,6 +472,46 @@ def test_bochner_matches_dense_coefficient_lattice(grid, form):
             assert np.max(np.abs(out - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
+def _coherent(grid, hbar, q0, p0):
+    x = grid.axis()
+    return SampledFunction(grid, hbar, np.exp(-(x - q0) ** 2 / (2 * hbar) + 1j * p0 * x / hbar))
+
+
+@pytest.mark.parametrize("hbar", [1.0, 0.5])
+@pytest.mark.parametrize("form", ["s1", "s2"])
+def test_bochner_half_lattice_on_coherent_states(grid, form, hbar):
+    # bochner_apply builds the rows x0 >= 0 only and reads the row of -x0 as
+    # the row of x0 at -x; h0 and h1 are even or odd about 0, so only inputs
+    # that are neither can tell f(x + k dx) from f(-x - k dx), or a row read
+    # at -x from one read at +x
+    for q0, p0 in ((2.5, 0.7), (-4.0, -1.3), (0.0, 2.0)):
+        f = _coherent(grid, hbar, q0, p0)
+        for alpha in (math.pi / 2, 2.0):
+            s = rotation(alpha)
+            nu = conley_zehnder(rotation_generating(alpha), 0)
+            out = bochner_apply(s, nu, f, form=form).values
+            ref = _bochner_dense(s, nu, f, form)
+            assert np.max(np.abs(out - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
+def test_bochner_transforms_the_half_lattice_once(grid, monkeypatch):
+    # one p0 pass over the rows x0 = 0 .. k_max dx, onto the N + 1 points
+    # x = -X .. X; a full lattice would have 2 k_max + 1 rows
+    import metaplectic.operators as operators
+    calls = []
+
+    def spy(values, axis, **kw):
+        calls.append((values.shape[0], kw["n_out"]))
+        return _fourier_sum_axis(values, axis, **kw)
+
+    monkeypatch.setattr(operators, "_fourier_sum_axis", spy)
+    f = _coherent(grid, HBAR, 2.5, 0.7)
+    bochner_apply(rotation(2.0), conley_zehnder(rotation_generating(2.0), 0), f)
+    r_f = support_radius(f)
+    k_max = int(math.floor(min(config.R_FACTOR * r_f, grid.X + r_f) / grid.dx))
+    assert calls == [(k_max + 1, grid.N + 1)]
+
+
 @pytest.mark.parametrize("rows, cols", [
     pytest.param(range(-k, k + 1), range(-j, j + 1), id=f"{k}-{j}")
     for k, j in [(0, 0), (0, 3), (1, 2), (4, 5), (13, 7), (40, 9)]

@@ -22,7 +22,9 @@ from metaplectic import (
     is_symplectic,
     metaplectic_asymptotic,
     metaplectic_phase_apply,
+    NonIntegralIndexError,
     NotFreeError,
+    qfio_apply,
     random_free_generating,
     random_symplectic,
     rotation,
@@ -252,6 +254,23 @@ def test_integral_form_routes_reject_unknown_form_names(route, names):
     for form in names:
         with pytest.raises(ValueError, match="unknown form"):
             route(form)
+
+
+@pytest.mark.parametrize("bad", [1.5, 0.7, -2.25, np.nan, np.inf])
+def test_non_integral_index_is_rejected(bad):
+    # int() truncated the index: nu = 1.5 gave nu = 1's output bit for bit,
+    # m = 0.7 acted as m = 0, and NaN raised an untyped ValueError
+    wig = _phi0_wigner()
+    calls = [
+        lambda nu: bochner_apply(rotation(math.pi / 2), nu, _PHI0).values,
+        lambda nu: metaplectic_phase_apply(rotation(math.pi / 2), nu, wig).values,
+        lambda m: qfio_apply(rotation_generating(math.pi / 2), m, _PHI0).values,
+    ]
+    for call in calls:
+        with pytest.raises(NonIntegralIndexError, match="finite integer"):
+            call(bad)
+        # an integer-valued float stays accepted, as the integer it equals
+        assert np.array_equal(call(2.0), call(2))
 
 
 def test_integral_form_rows_are_one_integral():

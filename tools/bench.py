@@ -28,7 +28,8 @@ standard Gaussian for the left factors of 8 ``factor_pair`` words (full L)
 and perfbench's diagonal-L draws (seeds 0-3) against the closed form, and
 ``bopp_apply`` on W(phi0, h1) (N = 128 and 512, X = 12) for the three
 symbols of ``phase_space``, on both routes where the checkout has the shift
-loop, against ``reference.bopp_gaussian_kernel``, and ``phase_shift`` of
+loop, against the closed form lambda0 W(phi0, h1) for the two centred
+symbols and ``reference.bopp_gaussian_kernel`` for the off-centre one, and ``phase_shift`` of
 W(phi0, phi0) (N = 512) on and off the lattice against the closed form,
 and ``phase_space``'s ``metaplectic_asymptotic`` ladder (hbar = 0.1, 0.05,
 0.025) with each call's ``relative_error`` and its quadrature's error against
@@ -268,8 +269,11 @@ print(json.dumps(rows))
 # rng_for(0, 9).uniform(-0.5, 0.5, 2), and the delta symbols sigma = 1 and
 # 0.7, which are the Gaussian symbol with tau = 1 / sigma centred at 0.  Best
 # of three calls of bopp_apply and, where the checkout has it, of the shift
-# loop on the same weights; the reference is reference.bopp_gaussian_kernel
-# (a dense sum, about 25 s per symbol at N = 512).
+# loop on the same weights.  A centred symbol has the Weyl symbol
+# exp(-sigma^2 |z|^2 / 2), which has phi0 as an eigenfunction (Mehler's
+# formula), so the exact output on W(phi0, h1) is lambda0 F with lambda0 =
+# 1 / (1 + sigma^2 hbar / 2); the off-centre symbol keeps the dense sum
+# reference.bopp_gaussian_kernel (25-40 s at N = 512) as its reference.
 BOPP_SNIPPET = r"""
 import json, time
 import numpy as np
@@ -283,8 +287,14 @@ for n_pts in (128, 512):
     grid = mp.Grid(1, n_pts, 12.0)
     F = mp.cross_wigner(mp.SampledFunction(grid, 1.0, ref.hermite(0, x, 1.0)),
                         mp.SampledFunction(grid, 1.0, ref.hermite(1, x, 1.0)))
-    for label, tau, centre in (("gaussian tau 0.8", 0.8, zc), ("delta sigma 1", 1.0, np.zeros(2)),
-                               ("delta sigma 0.7", 1 / 0.7, np.zeros(2))):
+    for label, tau, centre in (("gaussian tau 0.8", 0.8, zc), ("delta sigma 1", 1.0, None),
+                               ("delta sigma 0.7", 1 / 0.7, None)):
+        if centre is None:
+            centre, key = np.zeros(2), "closed_form_error"
+            exact = F.values / (1.0 + 0.5 / tau ** 2)  # lambda0 F, sigma = 1 / tau, hbar = 1
+        else:
+            key = "kernel_error"
+            exact = ref.bopp_gaussian_kernel(F.values, x, p, tau, centre, 1.0)
         def a_sigma(zx, zp, tau=tau, c=centre):
             return (tau ** 2 * np.exp(-1j * (zp * c[0] - zx * c[1]))
                     * np.exp(-tau ** 2 * (zx * zx + zp * zp) / 2))
@@ -292,7 +302,6 @@ for n_pts in (128, 512):
         if hasattr(ps, "_bopp_shift_loop"):
             weights = ps._bopp_weights(a_sigma, F)
             routes.append(("shift loop", lambda: ps._bopp_shift_loop(weights, F)))
-        exact = ref.bopp_gaussian_kernel(F.values, x, p, tau, centre, 1.0)
         for route, call in routes:
             times = []
             for _ in range(3):
@@ -300,7 +309,7 @@ for n_pts in (128, 512):
                 out = call()
                 times.append(time.perf_counter() - t0)
             rows.append({"N": n_pts, "symbol": label, "route": route, "ms": 1e3 * min(times),
-                         "kernel_error": ref.rel_err(out, exact)})
+                         key: ref.rel_err(out, exact)})
 print(json.dumps(rows))
 """
 
